@@ -19,8 +19,8 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
-from types import MappingProxyType
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 
 from . import policies
 from .estimators import EstimatorState
@@ -52,7 +52,10 @@ class SessionLog:
     segment_duration: float
     num_versions: int
     playback_start: float
-    total_stall: float
+
+    @property
+    def total_stall(self) -> float:
+        return sum(r.stall_time for r in self.records)
 
 
 def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float = 0.0) -> float:
@@ -88,30 +91,21 @@ def run_session(
     manifest: VideoManifest,
     trace: BandwidthTrace,
     cfg: ClientConfig,
-    policy=None,
     trace_label: str = "",
 ) -> SessionLog:
-    """Simulate a full streaming session and return its log.
-
-    ``policy`` may be a callable ``(view, est, cfg) -> Decision``; by default
-    the policy named in ``cfg.policy`` is used.
-    """
-    if not 1 <= cfg.start_version <= manifest.num_versions:
-        raise ValueError(
-            f"start_version {cfg.start_version} out of range 1..{manifest.num_versions}"
-        )
-    decide = policy if policy is not None else policies.decide
+    """Simulate a full streaming session under ``cfg.policy`` and return its log."""
+    num_versions = manifest.num_versions
+    if not 1 <= cfg.start_version <= num_versions:
+        raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
     qps = manifest.qps
     duration = manifest.segment_duration
-    est = EstimatorState(manifest.num_versions, cfg.window_n)
+    est = EstimatorState(num_versions, cfg.window_n)
 
     clock = 0.0
     buffer = 0.0
     playing = False
     playback_start = 0.0
     version = cfg.start_version
-    received_sizes: dict = {}
-    throughput_history: list = []
     records = []
 
     for index in range(manifest.num_segments):
@@ -136,20 +130,16 @@ def run_session(
             playback_start = completion
 
         t_instant = size / elapsed
-        received_sizes[index] = size
-        throughput_history.append(t_instant)
         est.ingest_segment(index, version, size / duration, qps, cfg.theta)
         est.update_smoothed_throughput(t_instant, cfg.delta)
 
         view = ClientView(
             buffer_level=buffer,
-            last_segment_index=index,
             last_version=version,
-            received_sizes=MappingProxyType(received_sizes),
-            qps=qps,
-            throughput_history=tuple(throughput_history),
+            last_throughput=t_instant,
+            num_versions=num_versions,
         )
-        decision = decide(view, est, cfg)
+        decision = policies.decide(view, est, cfg)
 
         records.append(
             SegmentRecord(
@@ -174,9 +164,8 @@ def run_session(
         manifest_title=manifest.title,
         trace_label=trace_label,
         segment_duration=duration,
-        num_versions=manifest.num_versions,
+        num_versions=num_versions,
         playback_start=playback_start,
-        total_stall=sum(r.stall_time for r in records),
     )
 
 
@@ -184,33 +173,41 @@ def run_session(
 # Serialization: JSON lines (header line, then one record per line) and CSV.
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "index",
-    "version",
-    "size_bits",
-    "request_time_s",
-    "completion_time_s",
-    "throughput_bps",
-    "buffer_before_s",
-    "buffer_after_s",
-    "case",
-    "stall_s",
+# (column name, SegmentRecord field), in field order: load_log_jsonl relies on it
+LOG_COLUMNS = (
+    ("index", "index"),
+    ("version", "version_requested"),
+    ("size_bits", "size_bits"),
+    ("request_time_s", "request_time"),
+    ("completion_time_s", "completion_time"),
+    ("throughput_bps", "instant_throughput"),
+    ("buffer_before_s", "buffer_before"),
+    ("buffer_after_s", "buffer_after"),
+    ("case", "case_label"),
+    ("stall_s", "stall_time"),
 )
+_COLUMNS = tuple(column for column, _ in LOG_COLUMNS)
+_COLUMN_SET = frozenset(_COLUMNS)
+_record_values = attrgetter(*(field for _, field in LOG_COLUMNS))
+_column_values = itemgetter(*_COLUMNS)
+# (header key, SessionLog field); the header also holds "config"
+_HEADER_FIELDS = (
+    ("manifest_title", "manifest_title"),
+    ("trace_label", "trace_label"),
+    ("segment_duration_s", "segment_duration"),
+    ("num_versions", "num_versions"),
+    ("playback_start_s", "playback_start"),
+)
+_HEADER_KEYS = tuple(key for key, _ in _HEADER_FIELDS) + ("config",)
+_CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
 
 
 def log_to_jsonl(log: SessionLog) -> str:
-    header = {
-        "manifest_title": log.manifest_title,
-        "trace_label": log.trace_label,
-        "segment_duration_s": log.segment_duration,
-        "num_versions": log.num_versions,
-        "playback_start_s": log.playback_start,
-        "total_stall_s": log.total_stall,
-        "config": log.config.as_dict(),
-    }
+    header = {key: getattr(log, field) for key, field in _HEADER_FIELDS}
+    header["config"] = log.config.as_dict()
     lines = [json.dumps(header, sort_keys=True)]
     for rec in log.records:
-        lines.append(json.dumps(asdict(rec), sort_keys=True))
+        lines.append(json.dumps(dict(zip(_COLUMNS, _record_values(rec)))))
     return "\n".join(lines) + "\n"
 
 
@@ -219,44 +216,53 @@ def save_log_jsonl(log: SessionLog, path) -> None:
         fh.write(log_to_jsonl(log))
 
 
-def load_log_jsonl(path) -> SessionLog:
-    with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty log file")
+def _check_keys(obj, keys, where: str) -> None:
+    """Raise ValueError naming the first missing or unknown key of ``obj``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown field {key!r}")
+
+
+def _json_line(path, lineno: int, line: str):
     try:
-        header = json.loads(lines[0])
-        records = tuple(SegmentRecord(**json.loads(line)) for line in lines[1:])
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed log ({exc})") from exc
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
+
+
+def load_log_jsonl(path) -> SessionLog:
+    records = []
+    with open(path) as fh:
+        lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty log file")
+        header = _json_line(path, *first)
+        _check_keys(header, _HEADER_KEYS, f"{path}: header")
+        _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+        try:
+            config = ClientConfig(**header["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: header config: {exc}") from exc
+        for lineno, line in lines:
+            row = _json_line(path, lineno, line)
+            if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
+                _check_keys(row, _COLUMNS, f"{path}: line {lineno}")
+            records.append(SegmentRecord(*_column_values(row)))
     return SessionLog(
-        records=records,
-        config=ClientConfig(**header["config"]),
-        manifest_title=header["manifest_title"],
-        trace_label=header["trace_label"],
-        segment_duration=header["segment_duration_s"],
-        num_versions=header["num_versions"],
-        playback_start=header["playback_start_s"],
-        total_stall=header["total_stall_s"],
+        records=tuple(records),
+        config=config,
+        **{field: header[key] for key, field in _HEADER_FIELDS},
     )
 
 
 def save_log_csv(log: SessionLog, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in log.records:
-            writer.writerow(
-                [
-                    r.index,
-                    r.version_requested,
-                    r.size_bits,
-                    r.request_time,
-                    r.completion_time,
-                    r.instant_throughput,
-                    r.buffer_before,
-                    r.buffer_after,
-                    r.case_label,
-                    r.stall_time,
-                ]
-            )
+        writer.writerow(_COLUMNS)
+        writer.writerows(map(_record_values, log.records))

@@ -67,9 +67,6 @@ class EstimatorState:
         """Per-version bitrate of the most recent segment (actual or projected)."""
         return tuple(w[-1] for w in self._windows)
 
-    def window(self, version: int) -> tuple:
-        return tuple(self._windows[version - 1])
-
     def update_smoothed_throughput(self, t_instant: float, delta: float) -> float:
         """Fold one instant throughput sample into the smoothed estimate."""
         if t_instant <= 0:

@@ -13,7 +13,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
 
 
 class StateError(RuntimeError):
@@ -196,17 +195,16 @@ class ClientConfig:
 class ClientView:
     """What a policy is allowed to observe.
 
-    This is the information barrier: policies see only the buffer level, the
-    QP metadata, and measurements of segments actually received. Ground-truth
-    sizes of versions never downloaded are not reachable from here.
+    This is the information barrier: the buffer level, plus the version and
+    instant throughput of the segment just received and the number of
+    versions. Everything else a policy reads is estimator state, built from
+    received segments only.
     """
 
     buffer_level: float
-    last_segment_index: int
     last_version: int
-    received_sizes: Mapping
-    qps: tuple
-    throughput_history: tuple
+    last_throughput: float
+    num_versions: int
 
     def __post_init__(self):
         if self.buffer_level < 0:

@@ -87,11 +87,10 @@ def select_panic_version(instant_bitrates, t_instant: float) -> int:
 
 def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Decision:
     """Pick the next version from the buffer regime and the estimator state."""
-    if est.segments_seen < 1 or est.smoothed_throughput is None or not view.throughput_history:
+    if est.segments_seen < 1 or est.smoothed_throughput is None:
         raise StateError("policy called before any segment was received")
     current = view.last_version
-    num_versions = len(view.qps)
-    t_instant = view.throughput_history[-1]
+    t_instant = view.last_throughput
     b_instant = est.latest_bitrates[current - 1]
     t_est = est.smoothed_throughput
     reps = est.rep_bitrates
@@ -101,7 +100,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
 
     if buffer > cfg.beta_max:
         nxt = current
-        if current < num_versions:
+        if current < view.num_versions:
             if cfg.uptrend_gate == "prose":
                 gate_rep = reps[current]  # next-higher version
             else:
@@ -135,10 +134,9 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
 
 def itb_decide(view: ClientView, est: EstimatorState) -> Decision:
     """Reference policy: instant-feasibility selection on every segment."""
-    if est.segments_seen < 1 or not view.throughput_history:
+    if est.segments_seen < 1:
         raise StateError("policy called before any segment was received")
-    t_instant = view.throughput_history[-1]
-    return Decision(select_panic_version(est.latest_bitrates, t_instant), CASE_ITB)
+    return Decision(select_panic_version(est.latest_bitrates, view.last_throughput), CASE_ITB)
 
 
 def decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Decision:

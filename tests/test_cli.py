@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vbrsim
 from vbrsim.cli import main
 from vbrsim.engine import load_log_jsonl
 from vbrsim.model import load_manifest, load_trace
@@ -168,3 +173,47 @@ class TestStats:
         # log parses back into the same session
         log = load_log_jsonl(log_path)
         assert log.config.window_n == 10
+
+
+def _rename_version_column(records):
+    for rec in records:
+        rec["version_requested"] = rec.pop("version")
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        pytest.param(lambda h, r: h.pop("num_versions"), "num_versions", id="missing-header-key"),
+        pytest.param(lambda h, r: h.pop("config"), "config", id="missing-config"),
+        pytest.param(lambda h, r: h["config"].pop("theta"), "theta", id="missing-config-key"),
+        pytest.param(lambda h, r: h["config"].update(bogus=1), "bogus", id="unknown-config-key"),
+        pytest.param(
+            lambda h, r: h["config"].update(beta_min=99.0), "beta_min", id="invalid-config-value"
+        ),
+        pytest.param(lambda h, r: h.update(total_stall_s=0.0), "total_stall_s", id="old-header"),
+        pytest.param(lambda h, r: r[3].pop("stall_s"), "stall_s", id="missing-record-column"),
+        pytest.param(lambda h, r: _rename_version_column(r), "'version'", id="old-record-schema"),
+        pytest.param(lambda h, r: r.__setitem__(0, [1, 2, 3]), "line 2", id="record-not-object"),
+    ],
+)
+def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
+    manifest, trace = inputs
+    out = tmp_path / "out"
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+    assert main(args) == 0
+    header, *records = (json.loads(line) for line in (out / "avg-30.jsonl").read_text().splitlines())
+    mutate(header, records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *records]))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", "stats", "--log", str(bad)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert str(bad) in proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,23 @@
+import csv
+import json
 import random
+from dataclasses import fields
 
 import pytest
 
-from vbrsim.engine import download_time, load_log_jsonl, log_to_jsonl, run_session, save_log_csv, save_log_jsonl
+from vbrsim import policies
+from vbrsim.engine import (
+    LOG_COLUMNS,
+    SegmentRecord,
+    download_time,
+    load_log_jsonl,
+    log_to_jsonl,
+    run_session,
+    save_log_csv,
+    save_log_jsonl,
+)
 from vbrsim.model import BandwidthTrace, ClientConfig, VersionInfo, VideoManifest
+from vbrsim.policies import decide
 from vbrsim.scenarios import gen_rect_bandwidth, gen_vbr_ladder, ladder_preset
 
 QPS6 = (48, 42, 38, 34, 28, 22)
@@ -85,13 +99,30 @@ class TestRunSessionSteadyState:
             assert r.buffer_after == pytest.approx(drained + m.segment_duration, abs=1e-9)
 
     def test_media_conservation(self):
-        m = cbr_manifest(segments=80)
-        log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
-        last = log.records[-1]
-        wall = last.completion_time - log.playback_start
-        played = wall - log.total_stall
-        downloaded = m.num_segments * m.segment_duration
-        assert downloaded == pytest.approx(played + last.buffer_after, abs=1e-6)
+        # media downloaded = media played + final buffer, where playback runs
+        # from the first completion to the last except while stalled; so the
+        # stall total derived from the records must match the clock
+        rng = random.Random(31)
+        sessions = [(cbr_manifest(segments=80), constant_trace(3e6))]
+        for seed in range(20):
+            m = gen_vbr_ladder(ladder_preset("sony-like", segment_count=60, seed=seed))
+            starts = [0.0] + sorted(rng.uniform(1, 200) for _ in range(rng.randint(2, 15)))
+            trace = BandwidthTrace(tuple((t, rng.uniform(5e4, 6e6)) for t in starts))
+            sessions.append((m, trace))
+        # heavy stalls: the bandwidth falls far below the lowest rung for good
+        heavy = cbr_manifest(bitrates_kbps=(500, 1000), segments=40)
+        sessions.append((heavy, BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))))
+        for m, trace in sessions:
+            for rtt in (0.0, 0.04):
+                for policy in ("avg", "itb"):
+                    log = run_session(m, trace, ClientConfig(window_n=10, rtt=rtt, policy=policy))
+                    last = log.records[-1]
+                    wall = last.completion_time - log.playback_start
+                    downloaded = m.num_segments * m.segment_duration
+                    expected = wall + last.buffer_after - downloaded
+                    assert log.total_stall == pytest.approx(expected, abs=1e-6)
+                    if m is heavy:
+                        assert log.total_stall > 200.0
 
     def test_stall_accounting(self):
         # bandwidth collapses mid-session far below the lowest rung
@@ -140,17 +171,16 @@ class TestRunSessionSteadyState:
         with pytest.raises(ValueError):
             run_session(m, constant_trace(3e6), ClientConfig(start_version=7))
 
-    def test_policy_consulted_every_segment(self):
+    def test_policy_consulted_every_segment(self, monkeypatch):
         m = cbr_manifest(segments=25)
         calls = []
 
         def probe(view, est, cfg):
-            calls.append(view.last_segment_index)
-            from vbrsim.policies import decide
-
+            calls.append(est.segments_seen - 1)  # index of the segment just received
             return decide(view, est, cfg)
 
-        log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10), policy=probe)
+        monkeypatch.setattr(policies, "decide", probe)
+        log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
         assert calls == list(range(25))
         assert all(r.case_label for r in log.records)
 
@@ -221,6 +251,27 @@ class TestLogSerialization:
             "throughput_bps,buffer_before_s,buffer_after_s,case,stall_s"
         )
         assert len(lines) == 6
+
+    def test_csv_and_jsonl_share_one_schema(self, tmp_path):
+        m = cbr_manifest(bitrates_kbps=(500, 1000), segments=12)
+        trace = BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))  # the drop causes stalls
+        log = run_session(m, trace, ClientConfig(window_n=10), trace_label="drop")
+        save_log_csv(log, tmp_path / "log.csv")
+        save_log_jsonl(log, tmp_path / "log.jsonl")
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        lines = (tmp_path / "log.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        records = [json.loads(line) for line in lines[1:]]
+        names = [column for column, _ in LOG_COLUMNS]
+        assert [field for _, field in LOG_COLUMNS] == [f.name for f in fields(SegmentRecord)]
+        assert "total_stall_s" not in header
+        assert len(rows) == len(records) == 12
+        assert any(rec["stall_s"] > 0 for rec in records)
+        for row, rec in zip(rows, records):
+            assert list(row) == names
+            assert list(rec) == names
+            assert row == {name: str(value) for name, value in rec.items()}
 
     def test_empty_log_file_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"

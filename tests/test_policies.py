@@ -18,14 +18,12 @@ from vbrsim.policies import (
 QPS6 = (48, 42, 38, 34, 28, 22)
 
 
-def make_view(buffer_level, last_version, t_instant, index=5):
+def make_view(buffer_level, last_version, t_instant):
     return ClientView(
         buffer_level=buffer_level,
-        last_segment_index=index,
         last_version=last_version,
-        received_sizes={index: t_instant * 2},
-        qps=QPS6,
-        throughput_history=(t_instant,),
+        last_throughput=t_instant,
+        num_versions=len(QPS6),
     )
 
 
@@ -312,8 +310,8 @@ class TestItbDecide:
         latest = (200e3, 400e3, 600e3, 1000e3, 2200e3, 5200e3)
         est = make_est(reps=(1,) * 6, latest=latest, smoothed=1e6)
         picks = []
-        for i, t in enumerate([800e3, 2500e3, 800e3, 2500e3]):
-            view = make_view(buffer_level=40, last_version=3, t_instant=t, index=i)
+        for t in [800e3, 2500e3, 800e3, 2500e3]:
+            view = make_view(buffer_level=40, last_version=3, t_instant=t)
             picks.append(itb_decide(view, est).next_version)
         assert picks == [3, 5, 3, 5]
 

@@ -36,5 +36,4 @@ def synthetic_log(versions, buffers=None, stalls=None, duration=2.0, bitrate=1e6
         segment_duration=duration,
         num_versions=max(versions),
         playback_start=1.0,
-        total_stall=sum(stalls),
     )
