@@ -153,17 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="avg",
         help="comma-separated policies: itb, avg, avg:N (default avg)",
     )
-    run.add_argument("--window", type=int, default=30, help="moving-average length N")
-    run.add_argument("--beta-min", type=float, default=10.0, dest="beta_min")
-    run.add_argument("--beta-max", type=float, default=50.0, dest="beta_max")
-    run.add_argument("--delta", type=float, default=0.1, help="throughput smoothing weight")
-    run.add_argument("--theta", type=float, default=1.05, help="QP-model compensation factor")
-    run.add_argument("--rtt", type=float, default=0.040, help="round-trip time in seconds")
-    run.add_argument("--start-version", type=int, default=1, dest="start_version")
+    cfg = model.ClientConfig()
+    run.add_argument("--window", type=int, default=cfg.window_n, help="moving-average length N")
+    run.add_argument("--beta-min", type=float, default=cfg.beta_min, dest="beta_min")
+    run.add_argument("--beta-max", type=float, default=cfg.beta_max, dest="beta_max")
+    run.add_argument("--delta", type=float, default=cfg.delta, help="throughput smoothing weight")
+    run.add_argument("--theta", type=float, default=cfg.theta, help="QP-model compensation factor")
+    run.add_argument("--rtt", type=float, default=cfg.rtt, help="round-trip time in seconds")
+    run.add_argument("--start-version", type=int, default=cfg.start_version, dest="start_version")
     run.add_argument(
         "--uptrend-gate",
-        choices=("prose", "pseudocode"),
-        default="prose",
+        choices=model.UPTREND_GATES,
+        default=cfg.uptrend_gate,
         dest="uptrend_gate",
         help="which version's representative bitrate gates an up-switch",
     )

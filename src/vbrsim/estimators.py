@@ -8,12 +8,11 @@ Three pieces of per-session state evolve as segments arrive:
 * per-version instant bitrates for the current segment index: the measured
   value for the version actually received, and values projected onto every
   other version through the QP model;
-* per-version representative bitrates: the moving average of the last N
-  per-segment bitrates of each version, maintained incrementally.
+* per-version representative bitrates: the mean of the last N per-segment
+  bitrates of each version, computed from the window when read.
 
-During warm-up (fewer than N segments seen) the representative bitrate is the
-running mean of everything seen so far; once N samples exist it becomes a true
-sliding-window mean.
+During warm-up (fewer than N segments seen) the window holds everything seen
+so far, so the representative bitrate is the mean of all of it.
 """
 
 from __future__ import annotations
@@ -46,11 +45,9 @@ class EstimatorState:
         if window_n < 1:
             raise ValueError(f"window_n must be >= 1, got {window_n}")
         self.num_versions = num_versions
-        self.window_n = window_n
         self.segments_seen = 0
         self._smoothed = None
         self._windows = [deque(maxlen=window_n) for _ in range(num_versions)]
-        self._reps = [0.0] * num_versions
 
     @property
     def smoothed_throughput(self):
@@ -60,7 +57,7 @@ class EstimatorState:
     @property
     def rep_bitrates(self) -> tuple:
         """Representative bitrate per version (index 0 = version 1)."""
-        return tuple(self._reps)
+        return tuple(sum(w) / len(w) for w in self._windows)
 
     @property
     def latest_bitrates(self) -> tuple:
@@ -86,12 +83,13 @@ class EstimatorState:
         b_actual: float,
         qps,
         theta: float,
-    ) -> tuple:
+    ) -> None:
         """Record segment ``index`` received at ``received_version``.
 
         ``b_actual`` is the measured bitrate of that segment; every other
         version's bitrate for the same index is projected through the QP
-        model. Returns the updated representative bitrates.
+        model. Each value enters its version's window, dropping the oldest
+        once the window holds N.
         """
         if index != self.segments_seen:
             raise StateError(
@@ -112,19 +110,5 @@ class EstimatorState:
                 b = b_actual
             else:
                 b = estimate_cross_version_bitrate(b_actual, qp_from, qps[k - 1], theta)
-            win = self._windows[k - 1]
-            if len(win) == self.window_n:
-                # window full: slide the mean by the entering/leaving pair
-                self._reps[k - 1] += (b - win[0]) / self.window_n
-            else:
-                # warm-up: running mean over all samples so far
-                self._reps[k - 1] += (b - self._reps[k - 1]) / (len(win) + 1)
-            win.append(b)
-            if __debug__:
-                recomputed = sum(win) / len(win)
-                assert abs(self._reps[k - 1] - recomputed) <= 1e-6 * abs(recomputed), (
-                    self._reps[k - 1],
-                    recomputed,
-                )
+            self._windows[k - 1].append(b)
         self.segments_seen += 1
-        return self.rep_bitrates

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
@@ -33,14 +34,17 @@ class VersionInfo:
 
     def __post_init__(self):
         object.__setattr__(self, "segment_sizes", tuple(self.segment_sizes))
-        if self.index < 1:
-            raise ValueError(f"version index must be >= 1, got {self.index}")
+        if not isinstance(self.index, int) or self.index < 1:
+            raise ValueError(f"version index must be an int >= 1, got {self.index!r}")
+        if not isinstance(self.qp, int):
+            raise ValueError(f"version {self.index}: qp must be an int, got {self.qp!r}")
         if not self.segment_sizes:
             raise ValueError(f"version {self.index} has no segments")
         for i, size in enumerate(self.segment_sizes):
-            if size <= 0:
+            if not (isinstance(size, (int, float)) and 0 < size < math.inf):
                 raise ValueError(
-                    f"version {self.index} segment {i}: size must be > 0, got {size}"
+                    f"version {self.index} segment {i}: "
+                    f"size must be a finite number > 0, got {size!r}"
                 )
 
 
@@ -54,8 +58,9 @@ class VideoManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "versions", tuple(self.versions))
-        if self.segment_duration <= 0:
-            raise ValueError(f"segment_duration must be > 0, got {self.segment_duration}")
+        duration = self.segment_duration
+        if not (isinstance(duration, (int, float)) and 0 < duration < math.inf):
+            raise ValueError(f"segment_duration must be a finite number > 0, got {duration!r}")
         if len(self.versions) < 2:
             raise ValueError("manifest needs at least 2 versions")
         for pos, v in enumerate(self.versions, start=1):
@@ -119,11 +124,13 @@ class BandwidthTrace:
         if bps[0][0] != 0.0:
             raise ValueError(f"first breakpoint must start at t=0, got {bps[0][0]}")
         for (t0, _), (t1, _) in zip(bps, bps[1:]):
-            if t1 <= t0:
-                raise ValueError(f"breakpoint times must strictly increase ({t0} then {t1})")
+            if not t0 < t1 < math.inf:
+                raise ValueError(
+                    f"breakpoint times must be finite and strictly increase ({t0} then {t1})"
+                )
         for t, bw in bps:
-            if bw <= 0:
-                raise ValueError(f"bandwidth must be > 0, got {bw} at t={t}")
+            if not 0 < bw < math.inf:
+                raise ValueError(f"bandwidth must be finite and > 0, got {bw} at t={t}")
 
     @property
     def starts(self) -> tuple:
@@ -139,7 +146,7 @@ def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
 
 
 _POLICIES = ("avg", "itb")
-_UPTREND_GATES = ("prose", "pseudocode")
+UPTREND_GATES = ("prose", "pseudocode")
 
 
 @dataclass(frozen=True)
@@ -166,25 +173,25 @@ class ClientConfig:
     uptrend_gate: str = "prose"
 
     def __post_init__(self):
-        if not 0 < self.beta_min < self.beta_max:
+        if not 0 < self.beta_min < self.beta_max < math.inf:
             raise ValueError(
-                f"need 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
+                f"need finite 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
             )
         if self.window_n < 1:
             raise ValueError(f"window_n must be >= 1, got {self.window_n}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if self.rtt < 0:
-            raise ValueError(f"rtt must be >= 0, got {self.rtt}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
+        if not 0 <= self.rtt < math.inf:
+            raise ValueError(f"rtt must be finite and >= 0, got {self.rtt}")
         if self.start_version < 1:
             raise ValueError(f"start_version must be >= 1, got {self.start_version}")
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {_POLICIES}")
-        if self.uptrend_gate not in _UPTREND_GATES:
+        if self.uptrend_gate not in UPTREND_GATES:
             raise ValueError(
-                f"unknown uptrend_gate {self.uptrend_gate!r}, expected one of {_UPTREND_GATES}"
+                f"unknown uptrend_gate {self.uptrend_gate!r}, expected one of {UPTREND_GATES}"
             )
 
     def as_dict(self) -> dict:
@@ -235,21 +242,20 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
     unit = _require(data, "size_unit", where)
     if unit not in ("bits", "bytes"):
         raise ValueError(f"{where}: size_unit must be 'bits' or 'bytes', got {unit!r}")
-    scale = 8 if unit == "bytes" else 1
     raw_versions = _require(data, "versions", where)
-    versions = []
-    for i, v in enumerate(raw_versions):
-        sizes = _require(v, "segment_sizes", f"{where}: versions[{i}]")
-        if scale != 1:
-            sizes = [s * scale for s in sizes]
-        versions.append(
-            VersionInfo(
-                index=_require(v, "index", f"{where}: versions[{i}]"),
-                qp=_require(v, "qp", f"{where}: versions[{i}]"),
-                segment_sizes=tuple(sizes),
+    try:
+        versions = []
+        for i, v in enumerate(raw_versions):
+            at = f"versions[{i}]"
+            version = VersionInfo(
+                _require(v, "index", at), _require(v, "qp", at), _require(v, "segment_sizes", at)
             )
-        )
-    return VideoManifest(title=title, segment_duration=duration, versions=tuple(versions))
+            if unit == "bytes":
+                version = replace(version, segment_sizes=[s * 8 for s in version.segment_sizes])
+            versions.append(version)
+        return VideoManifest(title=title, segment_duration=duration, versions=tuple(versions))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def manifest_to_dict(manifest: VideoManifest) -> dict:
@@ -298,9 +304,10 @@ def load_trace(path) -> BandwidthTrace:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             breakpoints.append((t, kbps * 1000.0))
-    if not breakpoints:
-        raise ValueError(f"{path}: trace has no breakpoints")
-    return BandwidthTrace(tuple(breakpoints))
+    try:
+        return BandwidthTrace(tuple(breakpoints))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: BandwidthTrace, path) -> None:

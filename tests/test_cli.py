@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,6 +151,15 @@ class TestRun:
         assert code == 2
 
 
+def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):
+    manifest, trace = inputs
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = next(block[1:] for block in readme.split("```") if block.startswith("\nStatistics"))
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path)]
+    assert main(args + ["--policy", "itb,avg:10,avg:30,avg:50", "--warmup", "auto"]) == 0
+    assert capsys.readouterr().out == table
+
+
 class TestStats:
     def test_recompute_from_log(self, inputs, tmp_path, capsys):
         manifest, trace = inputs
@@ -217,3 +227,63 @@ def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
     assert str(bad) in proc.stderr
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _set_size(value):
+    return lambda m: m["versions"][2]["segment_sizes"].__setitem__(7, value)
+
+
+def _set_trace_row(row):
+    return lambda lines: lines.__setitem__(2, row)  # replaces "120.0,500.0"
+
+
+@pytest.mark.parametrize(
+    "where, edit, field",
+    [
+        pytest.param(
+            "manifest", lambda m: m.update(segment_duration_s=math.nan), "segment_duration",
+            id="nan-duration",
+        ),
+        pytest.param("manifest", _set_size(math.nan), "size", id="nan-size"),
+        pytest.param("manifest", _set_size(math.inf), "size", id="inf-size"),
+        pytest.param("manifest", _set_size(-1), "size", id="negative-size"),
+        pytest.param("manifest", _set_size("abc"), "size", id="string-size"),
+        pytest.param("manifest", lambda m: m["versions"][2].update(qp="38"), "qp", id="string-qp"),
+        pytest.param("trace", _set_trace_row("120.0,nan"), "bandwidth", id="nan-bandwidth"),
+        pytest.param("trace", _set_trace_row("120.0,inf"), "bandwidth", id="inf-bandwidth"),
+        pytest.param("trace", _set_trace_row("nan,500.0"), "breakpoint", id="nan-time"),
+        pytest.param("args", ["--theta", "nan"], "theta", id="nan-theta"),
+        pytest.param("args", ["--rtt", "inf"], "rtt", id="inf-rtt"),
+        pytest.param("args", ["--rtt", "nan"], "rtt", id="nan-rtt"),
+        pytest.param("args", ["--beta-max", "inf"], "beta_max", id="inf-beta-max"),
+    ],
+)
+def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
+    manifest, trace = inputs
+    extra, bad = [], None
+    if where == "manifest":
+        data = json.loads(manifest.read_text())
+        edit(data)
+        bad = manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps(data))
+    elif where == "trace":
+        lines = trace.read_text().splitlines()
+        edit(lines)
+        bad = trace = tmp_path / "bad.csv"
+        trace.write_text("\n".join(lines) + "\n")
+    else:
+        extra = edit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+    if bad is not None:
+        assert str(bad) in proc.stderr

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -39,8 +40,9 @@ class TestSegmentBitrate:
         assert segment_bitrate(m, 1, 1) == pytest.approx(203_770.0)
 
     def test_zero_size_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            make_manifest([(0, 100), (200, 200)])
+        for bad in (0, math.nan, math.inf, -math.inf, "100", None):
+            with pytest.raises(ValueError, match="size"):
+                make_manifest([(bad, 100), (200, 200)])
 
     def test_out_of_range(self):
         m = make_manifest()
@@ -68,6 +70,9 @@ class TestManifestInvariants:
         )
         with pytest.raises(ValueError):
             VideoManifest(title="bad", segment_duration=2.0, versions=versions)
+        for bad in ("30", 30.0):
+            with pytest.raises(ValueError, match="qp must be an int"):
+                VersionInfo(index=1, qp=bad, segment_sizes=(100,))
 
     def test_indices_contiguous(self):
         versions = (
@@ -78,8 +83,9 @@ class TestManifestInvariants:
             VideoManifest(title="bad", segment_duration=2.0, versions=versions)
 
     def test_duration_positive(self):
-        with pytest.raises(ValueError):
-            make_manifest(duration=0)
+        for bad in (0, math.nan, math.inf, "2.0"):
+            with pytest.raises(ValueError, match="segment_duration"):
+                make_manifest(duration=bad)
 
 
 class TestBandwidthAt:
@@ -114,6 +120,11 @@ class TestBandwidthAt:
             BandwidthTrace(((0.0, 1e6), (0.0, 2e6)))  # strictly increasing
         with pytest.raises(ValueError):
             BandwidthTrace(((0.0, 0.0),))  # positive bandwidth
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BandwidthTrace(((0.0, bad),))  # finite bandwidth
+            with pytest.raises(ValueError, match="finite"):
+                BandwidthTrace(((0.0, 1e6), (bad, 2e6)))  # finite start times
 
 
 class TestClientConfig:
@@ -138,6 +149,13 @@ class TestClientConfig:
             {"rtt": -1},
             {"policy": "tbb"},
             {"uptrend_gate": "other"},
+            {"theta": math.nan},
+            {"theta": math.inf},
+            {"rtt": math.nan},
+            {"rtt": math.inf},
+            {"beta_max": math.inf},
+            {"beta_max": math.nan},
+            {"beta_min": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
