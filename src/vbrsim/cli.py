@@ -94,7 +94,13 @@ def cmd_run(args) -> int:
             fh.write("\n")
         with open(out_dir / f"{stem}.stats.txt", "w") as fh:
             fh.write(metrics.stats_table({label: stats}))
-        grid = [float(g) for g in range(0, int(args.beta_max + manifest.segment_duration) + 1)]
+        # the buffer never holds more than beta_max + one segment, nor more
+        # media than the session has
+        top = min(
+            args.beta_max + manifest.segment_duration,
+            manifest.num_segments * manifest.segment_duration,
+        )
+        grid = [float(g) for g in range(0, int(top) + 1)]
         with open(out_dir / f"{stem}.cdf.csv", "w") as fh:
             fh.write("level_s,fraction\n")
             for level, frac in metrics.buffer_cdf(log, grid):

@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 
@@ -33,15 +34,21 @@ class VersionInfo:
     segment_sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "segment_sizes", tuple(self.segment_sizes))
-        if not isinstance(self.index, int) or self.index < 1:
+        # exact type checks: JSON true/false are bools, and bool is an int
+        if type(self.index) is not int or self.index < 1:
             raise ValueError(f"version index must be an int >= 1, got {self.index!r}")
-        if not isinstance(self.qp, int):
+        if type(self.qp) is not int:
             raise ValueError(f"version {self.index}: qp must be an int, got {self.qp!r}")
+        if not isinstance(self.segment_sizes, (list, tuple)):
+            raise ValueError(
+                f"version {self.index}: segment_sizes must be a list, "
+                f"got {type(self.segment_sizes).__name__}"
+            )
+        object.__setattr__(self, "segment_sizes", tuple(self.segment_sizes))
         if not self.segment_sizes:
             raise ValueError(f"version {self.index} has no segments")
         for i, size in enumerate(self.segment_sizes):
-            if not (isinstance(size, (int, float)) and 0 < size < math.inf):
+            if not (type(size) in (int, float) and 0 < size < math.inf):
                 raise ValueError(
                     f"version {self.index} segment {i}: "
                     f"size must be a finite number > 0, got {size!r}"
@@ -58,8 +65,10 @@ class VideoManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "versions", tuple(self.versions))
+        if not isinstance(self.title, str):
+            raise ValueError(f"title must be a string, got {self.title!r}")
         duration = self.segment_duration
-        if not (isinstance(duration, (int, float)) and 0 < duration < math.inf):
+        if not (type(duration) in (int, float) and 0 < duration < math.inf):
             raise ValueError(f"segment_duration must be a finite number > 0, got {duration!r}")
         if len(self.versions) < 2:
             raise ValueError("manifest needs at least 2 versions")
@@ -132,8 +141,9 @@ class BandwidthTrace:
             if not 0 < bw < math.inf:
                 raise ValueError(f"bandwidth must be finite and > 0, got {bw} at t={t}")
 
-    @property
+    @cached_property
     def starts(self) -> tuple:
+        """Breakpoint start times, built on first read and kept for lookups."""
         return tuple(t for t, _ in self.breakpoints)
 
 
@@ -231,6 +241,8 @@ class ClientView:
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise ValueError(f"{where}: missing field {key!r}")
     return mapping[key]
@@ -243,6 +255,8 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
     if unit not in ("bits", "bytes"):
         raise ValueError(f"{where}: size_unit must be 'bits' or 'bytes', got {unit!r}")
     raw_versions = _require(data, "versions", where)
+    if not isinstance(raw_versions, list):
+        raise ValueError(f"{where}: versions must be a list, got {type(raw_versions).__name__}")
     try:
         versions = []
         for i, v in enumerate(raw_versions):

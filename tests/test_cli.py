@@ -102,6 +102,14 @@ class TestRun:
         assert (out_a / "avg-30.jsonl").read_bytes() == (out_b / "avg-30.jsonl").read_bytes()
         assert (out_a / "avg-30.csv").read_bytes() == (out_b / "avg-30.csv").read_bytes()
 
+    def test_cdf_grid_ends_at_media_length(self, inputs, tmp_path):
+        # 300 segments of 2 s: no buffer level can exceed 600 s
+        manifest, trace = inputs
+        out = tmp_path / "out"
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+        assert main(args + ["--beta-max", "100000"]) == 0
+        assert len((out / "avg-30.cdf.csv").read_text().splitlines()) <= 602
+
     def test_invalid_thresholds_exit_2(self, inputs, tmp_path):
         manifest, trace = inputs
         code = main(
@@ -249,6 +257,24 @@ def _set_trace_row(row):
         pytest.param("manifest", _set_size(-1), "size", id="negative-size"),
         pytest.param("manifest", _set_size("abc"), "size", id="string-size"),
         pytest.param("manifest", lambda m: m["versions"][2].update(qp="38"), "qp", id="string-qp"),
+        pytest.param("manifest", lambda m: m.update(versions=5), "versions", id="versions-not-list"),
+        pytest.param(
+            "manifest", lambda m: m["versions"].__setitem__(2, 5), "versions[2]",
+            id="version-not-object",
+        ),
+        pytest.param(
+            "manifest", lambda m: m["versions"][2].update(segment_sizes=5), "segment_sizes",
+            id="sizes-not-list",
+        ),
+        pytest.param("manifest", _set_size(True), "size", id="bool-size"),
+        pytest.param(
+            "manifest", lambda m: m["versions"][0].update(index=True), "index", id="bool-index"
+        ),
+        pytest.param("manifest", lambda m: m.update(title=5), "title", id="title-not-string"),
+        pytest.param(
+            "manifest", lambda m: m.update(segment_duration_s=True), "segment_duration",
+            id="bool-duration",
+        ),
         pytest.param("trace", _set_trace_row("120.0,nan"), "bandwidth", id="nan-bandwidth"),
         pytest.param("trace", _set_trace_row("120.0,inf"), "bandwidth", id="inf-bandwidth"),
         pytest.param("trace", _set_trace_row("nan,500.0"), "breakpoint", id="nan-time"),

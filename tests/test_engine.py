@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 from dataclasses import fields
 
@@ -70,6 +71,31 @@ class TestDownloadTime:
                 acc += trace.breakpoints[idx][1] * step
                 t += step
             assert acc == pytest.approx(size, rel=2e-3)
+
+    def test_long_downloads_on_dense_trace_in_any_order(self):
+        # thousands of ~1 s pieces, as in a measured mobile trace; every
+        # download crosses over 100 of them, and the calls go back in time
+        rng = random.Random(11)
+        starts = [0.0]
+        for _ in range(4999):
+            starts.append(starts[-1] + rng.uniform(0.5, 1.5))
+        trace = BandwidthTrace(tuple((s, rng.uniform(2e5, 4e6)) for s in starts))
+        ends = starts[1:] + [math.inf]
+        begins = sorted((rng.uniform(0, starts[-1] - 500) for _ in range(20)), reverse=True)
+        for start in begins:
+            rtt = rng.choice((0.0, 0.04))
+            size = rng.uniform(3e8, 5e8)
+            total = download_time(trace, start, size, rtt)
+            assert total == download_time(BandwidthTrace(trace.breakpoints), start, size, rtt)
+            # bits delivered, summed piece by piece over [start + rtt, start + total]
+            t0, t1 = start + rtt, start + total
+            overlaps = [
+                (bw, min(end, t1) - max(s, t0))
+                for (s, bw), end in zip(trace.breakpoints, ends)
+                if min(end, t1) > max(s, t0)
+            ]
+            assert len(overlaps) >= 100
+            assert sum(bw * dt for bw, dt in overlaps) == pytest.approx(size, rel=1e-9)
 
     def test_input_errors(self):
         with pytest.raises(ValueError):

@@ -70,7 +70,7 @@ class TestManifestInvariants:
         )
         with pytest.raises(ValueError):
             VideoManifest(title="bad", segment_duration=2.0, versions=versions)
-        for bad in ("30", 30.0):
+        for bad in ("30", 30.0, True):
             with pytest.raises(ValueError, match="qp must be an int"):
                 VersionInfo(index=1, qp=bad, segment_sizes=(100,))
 
@@ -103,6 +103,13 @@ class TestBandwidthAt:
     def test_negative_time(self):
         with pytest.raises(ValueError):
             bandwidth_at(self.trace, -1)
+
+    def test_starts_built_once_and_not_part_of_the_value(self):
+        trace = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
+        assert trace.starts == (0.0, 100.0)
+        assert trace.starts is trace.starts
+        twin = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
+        assert trace == twin and hash(trace) == hash(twin) and repr(trace) == repr(twin)
 
     def test_right_continuous_at_every_breakpoint(self):
         rng = random.Random(4)
