@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from . import engine, metrics, model, scenarios
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+CDF_MAX_POINTS = 1000
 
 
 def _parse_policy_specs(raw: str, default_window: int):
@@ -95,12 +98,15 @@ def cmd_run(args) -> int:
         with open(out_dir / f"{stem}.stats.txt", "w") as fh:
             fh.write(metrics.stats_table({label: stats}))
         # the buffer never holds more than beta_max + one segment, nor more
-        # media than the session has
+        # media than the session has; one point per second up to
+        # CDF_MAX_POINTS seconds, a wider whole-second step beyond, and the
+        # last point at or above the top
         top = min(
             args.beta_max + manifest.segment_duration,
             manifest.num_segments * manifest.segment_duration,
         )
-        grid = [float(g) for g in range(0, int(top) + 1)]
+        step = max(1, math.ceil(top / CDF_MAX_POINTS))
+        grid = [float(g) for g in range(0, int(top) + step, step)]
         with open(out_dir / f"{stem}.cdf.csv", "w") as fh:
             fh.write("level_s,fraction\n")
             for level, frac in metrics.buffer_cdf(log, grid):

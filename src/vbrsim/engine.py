@@ -17,18 +17,23 @@ dropped silently.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import policies
 from .estimators import EstimatorState
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
+class SegmentRecord(NamedTuple):
+    """One log line: a plain tuple whose fields are the ``LOG_COLUMNS``, in order."""
+
     index: int
     version_requested: int
     size_bits: float
@@ -173,7 +178,8 @@ def run_session(
 # Serialization: JSON lines (header line, then one record per line) and CSV.
 # ---------------------------------------------------------------------------
 
-# (column name, SegmentRecord field), in field order: load_log_jsonl relies on it
+# (column name, SegmentRecord field), in field order: a record is a tuple in
+# column order, which both writers and load_log_jsonl rely on
 LOG_COLUMNS = (
     ("index", "index"),
     ("version", "version_requested"),
@@ -188,27 +194,55 @@ LOG_COLUMNS = (
 )
 _COLUMNS = tuple(column for column, _ in LOG_COLUMNS)
 _COLUMN_SET = frozenset(_COLUMNS)
-_record_values = attrgetter(*(field for _, field in LOG_COLUMNS))
 _column_values = itemgetter(*_COLUMNS)
-# (header key, SessionLog field); the header also holds "config"
-_HEADER_FIELDS = (
-    ("manifest_title", "manifest_title"),
-    ("trace_label", "trace_label"),
-    ("segment_duration_s", "segment_duration"),
-    ("num_versions", "num_versions"),
-    ("playback_start_s", "playback_start"),
+# One JSONL record line. json.dumps writes an int or a finite float as its
+# repr, and a str through encode_basestring_ascii, so this template gives the
+# same bytes as json.dumps(dict(zip(_COLUMNS, record))) for a valid record.
+_RECORD_LINE = "{%s}\n" % ", ".join(
+    f"{json.dumps(column)}: {'%s' if column == 'case' else '%r'}" for column in _COLUMNS
 )
-_HEADER_KEYS = tuple(key for key, _ in _HEADER_FIELDS) + ("config",)
+
+
+def _finite(values) -> bool:
+    """True when every value converts to a finite float."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# What a logged value must be: (exact types allowed, test on all values, wording)
+_STRING = (frozenset({str}), None, "a string")
+_INTEGER = (frozenset({int}), None, "an integer")
+_NUMBER = (frozenset({int, float}), _finite, "a finite number")
+_POSITIVE = (frozenset({int, float}), lambda v: _finite(v) and min(v) > 0, "a finite number > 0")
+_COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
+_COLUMN_RULES = tuple(
+    {"index": _INTEGER, "version": _INTEGER, "case": _STRING}.get(column, _NUMBER)
+    for column in _COLUMNS
+)
+# (header key, SessionLog field, rule); the header also holds "config"
+_HEADER_FIELDS = (
+    ("manifest_title", "manifest_title", _STRING),
+    ("trace_label", "trace_label", _STRING),
+    ("segment_duration_s", "segment_duration", _POSITIVE),
+    ("num_versions", "num_versions", _COUNT),
+    ("playback_start_s", "playback_start", _NUMBER),
+)
+_HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
 
 
 def log_to_jsonl(log: SessionLog) -> str:
-    header = {key: getattr(log, field) for key, field in _HEADER_FIELDS}
+    header = {key: getattr(log, field) for key, field, _ in _HEADER_FIELDS}
     header["config"] = log.config.as_dict()
-    lines = [json.dumps(header, sort_keys=True)]
-    for rec in log.records:
-        lines.append(json.dumps(dict(zip(_COLUMNS, _record_values(rec)))))
-    return "\n".join(lines) + "\n"
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+    enc = encode_basestring_ascii
+    lines += [
+        _RECORD_LINE % (i, v, size, req, done, tput, before, after, enc(case), stall)
+        for i, v, size, req, done, tput, before, after, case, stall in log.records
+    ]
+    return "".join(lines)
 
 
 def save_log_jsonl(log: SessionLog, path) -> None:
@@ -228,6 +262,25 @@ def _check_keys(obj, keys, where: str) -> None:
             raise ValueError(f"{where}: unknown field {key!r}")
 
 
+def _valid(values, rule) -> bool:
+    types, test, _ = rule
+    return set(map(type, values)) <= types and (test is None or test(values))
+
+
+def _value_error(path, lineno: int, name: str, value, rule) -> ValueError:
+    return ValueError(f"{path}: line {lineno}: field {name!r} must be {rule[2]}, got {value!r}")
+
+
+def _nonblank_lines(fh):
+    return ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+
+
+def _record_lineno(path, i: int) -> int:
+    """Line number of record ``i``: the header is the first non-blank line."""
+    with open(path) as fh:
+        return next(itertools.islice(_nonblank_lines(fh), i + 1, None))[0]
+
+
 def _json_line(path, lineno: int, line: str):
     try:
         return json.loads(line)
@@ -237,14 +290,18 @@ def _json_line(path, lineno: int, line: str):
 
 def load_log_jsonl(path) -> SessionLog:
     records = []
+    make_record = SegmentRecord._make
     with open(path) as fh:
-        lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+        lines = _nonblank_lines(fh)
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty log file")
         header = _json_line(path, *first)
         _check_keys(header, _HEADER_KEYS, f"{path}: header")
         _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+        for key, _, rule in _HEADER_FIELDS:
+            if not _valid((header[key],), rule):
+                raise _value_error(path, first[0], key, header[key], rule)
         try:
             config = ClientConfig(**header["config"])
         except (TypeError, ValueError) as exc:
@@ -253,11 +310,16 @@ def load_log_jsonl(path) -> SessionLog:
             row = _json_line(path, lineno, line)
             if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
                 _check_keys(row, _COLUMNS, f"{path}: line {lineno}")
-            records.append(SegmentRecord(*_column_values(row)))
+            records.append(make_record(_column_values(row)))
+    # whole columns at a time, which is far cheaper than a check per value
+    for name, rule, column in zip(_COLUMNS, _COLUMN_RULES, zip(*records)):
+        if not _valid(column, rule):
+            i = next(i for i, value in enumerate(column) if not _valid((value,), rule))
+            raise _value_error(path, _record_lineno(path, i), name, column[i], rule)
     return SessionLog(
         records=tuple(records),
         config=config,
-        **{field: header[key] for key, field in _HEADER_FIELDS},
+        **{field: header[key] for key, field, _ in _HEADER_FIELDS},
     )
 
 
@@ -265,4 +327,4 @@ def save_log_csv(log: SessionLog, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        writer.writerows(map(_record_values, log.records))
+        writer.writerows(log.records)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vbrsim
-from vbrsim.cli import main
+from vbrsim.cli import CDF_MAX_POINTS, main
 from vbrsim.engine import load_log_jsonl
 from vbrsim.model import load_manifest, load_trace
 
@@ -109,6 +109,23 @@ class TestRun:
         args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
         assert main(args + ["--beta-max", "100000"]) == 0
         assert len((out / "avg-30.cdf.csv").read_text().splitlines()) <= 602
+
+    def test_cdf_grid_step_widens_past_max_points(self, inputs, tmp_path):
+        # 100 000 s segments: one point per second would write 100 052 lines
+        manifest, trace = inputs
+        data = json.loads(manifest.read_text())
+        data["segment_duration_s"] = 100000.0
+        manifest.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+        assert main(args) == 0
+        header, *rows = (out / "avg-30.cdf.csv").read_text().splitlines()
+        levels = [float(row.split(",")[0]) for row in rows]
+        assert header == "level_s,fraction"
+        assert 2 < len(levels) <= CDF_MAX_POINTS + 1
+        assert levels[0] == 0.0 and levels[1].is_integer()
+        assert len({b - a for a, b in zip(levels, levels[1:])}) == 1
+        assert rows[-1].endswith(",1.0")  # the grid reaches the largest buffer level
 
     def test_invalid_thresholds_exit_2(self, inputs, tmp_path):
         manifest, trace = inputs
@@ -212,6 +229,26 @@ def _rename_version_column(records):
         pytest.param(lambda h, r: r[3].pop("stall_s"), "stall_s", id="missing-record-column"),
         pytest.param(lambda h, r: _rename_version_column(r), "'version'", id="old-record-schema"),
         pytest.param(lambda h, r: r.__setitem__(0, [1, 2, 3]), "line 2", id="record-not-object"),
+        pytest.param(
+            lambda h, r: r[250].update(stall_s="0.0"), "line 252: field 'stall_s'",
+            id="string-stall-late",
+        ),
+        pytest.param(
+            lambda h, r: r[10].update(buffer_after_s=math.nan), "line 12: field 'buffer_after_s'",
+            id="nan-buffer-after",
+        ),
+        pytest.param(
+            lambda h, r: r[5].update(version=True), "line 7: field 'version'", id="bool-version"
+        ),
+        pytest.param(lambda h, r: r[3].update(index=2.5), "line 5: field 'index'", id="float-index"),
+        pytest.param(
+            lambda h, r: h.update(segment_duration_s="2.0"), "line 1: field 'segment_duration_s'",
+            id="string-segment-duration",
+        ),
+        pytest.param(
+            lambda h, r: h.update(trace_label=5), "line 1: field 'trace_label'",
+            id="trace-label-not-string",
+        ),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import random
-from dataclasses import fields
+from dataclasses import replace
 
 import pytest
 
+from tests_support import synthetic_log
 from vbrsim import policies
 from vbrsim.engine import (
     LOG_COLUMNS,
@@ -290,7 +291,7 @@ class TestLogSerialization:
         header = json.loads(lines[0])
         records = [json.loads(line) for line in lines[1:]]
         names = [column for column, _ in LOG_COLUMNS]
-        assert [field for _, field in LOG_COLUMNS] == [f.name for f in fields(SegmentRecord)]
+        assert [field for _, field in LOG_COLUMNS] == list(SegmentRecord._fields)
         assert "total_stall_s" not in header
         assert len(rows) == len(records) == 12
         assert any(rec["stall_s"] > 0 for rec in records)
@@ -298,6 +299,66 @@ class TestLogSerialization:
             assert list(row) == names
             assert list(rec) == names
             assert row == {name: str(value) for name, value in rec.items()}
+
+    def test_record_lines_match_json_dumps(self):
+        rng = random.Random(11)
+        numbers = (
+            lambda: rng.randint(-10**6, 10**6),
+            lambda: rng.randint(2**53, 2**90),  # beyond exact float range
+            lambda: float(rng.randint(-10**9, 10**9)),  # integral floats print as 5.0
+            lambda: -0.0,
+            lambda: 1e-7,
+            lambda: 1e16,
+            lambda: rng.uniform(-1e6, 1e6),
+            lambda: rng.random() * 10.0 ** rng.randint(-300, 300),
+        )
+        labels = (
+            "stable", 'say "hi"', "back\\slash", "\x00\x07\t\n\x1f\x7f", "é", "日本", "😀", "\u2028"
+        )
+        records = tuple(
+            SegmentRecord(
+                rng.choice((rng.randint(0, 10**4), 2**70)),
+                rng.randint(1, 6),
+                *(rng.choice(numbers)() for _ in range(6)),
+                "".join(rng.choices(labels, k=rng.randint(0, 3))),
+                rng.choice(numbers)(),
+            )
+            for _ in range(2000)
+        )
+        log = replace(synthetic_log([1, 2]), records=records)
+        names = [column for column, _ in LOG_COLUMNS]
+        lines = log_to_jsonl(log).split("\n")
+        assert lines[-1] == "" and len(lines) == len(records) + 2
+        for line, rec in zip(lines[1:], records):
+            assert line == json.dumps(dict(zip(names, rec)))
+
+    def test_log_to_jsonl_matches_json_dumps_on_sessions(self):
+        def dumps_jsonl(log):  # how the log was written before the record template
+            header = {
+                "manifest_title": log.manifest_title,
+                "trace_label": log.trace_label,
+                "segment_duration_s": log.segment_duration,
+                "num_versions": log.num_versions,
+                "playback_start_s": log.playback_start,
+                "config": log.config.as_dict(),
+            }
+            names = [column for column, _ in LOG_COLUMNS]
+            lines = [json.dumps(header, sort_keys=True)]
+            lines += [json.dumps(dict(zip(names, rec))) for rec in log.records]
+            return "\n".join(lines) + "\n"
+
+        vbr = gen_vbr_ladder(ladder_preset("sony-like"))
+        rect = gen_rect_bandwidth(2.5e6, 0.5e6, 120, 60, 600)
+        drop = BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))
+        sessions = [
+            run_session(vbr, rect, ClientConfig(policy="itb"), trace_label="rect"),
+            run_session(vbr, rect, ClientConfig(policy="avg", window_n=30), trace_label="rect"),
+            run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
+        ]
+        assert sessions[-1].total_stall > 0
+        assert {"itb", "stable"} <= {r.case_label for log in sessions for r in log.records}
+        for log in sessions:
+            assert log_to_jsonl(log) == dumps_jsonl(log)
 
     def test_empty_log_file_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
