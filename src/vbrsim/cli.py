@@ -82,16 +82,16 @@ def cmd_run(args) -> int:
     stats_by_label = {}
     for label, policy_id, window in specs:
         cfg = _client_config(args, policy_id, window)
-        log = engine.run_session(
-            manifest, trace, cfg, trace_label=Path(args.bandwidth).stem
-        )
+        try:
+            log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
+        except ValueError as exc:
+            raise ValueError(f"{args.manifest}, {args.bandwidth}: {exc}") from exc
         warmup = _warmup_count(args.warmup, log)
         stats = metrics.compute_stats(log, warmup_exclude=warmup)
         stats_by_label[label] = stats
 
         stem = label.lower()
-        engine.save_log_jsonl(log, out_dir / f"{stem}.jsonl")
-        engine.save_log_csv(log, out_dir / f"{stem}.csv")
+        engine.save_logs(log, out_dir / f"{stem}.jsonl", out_dir / f"{stem}.csv")
         with open(out_dir / f"{stem}.stats.json", "w") as fh:
             json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -16,7 +16,6 @@ dropped silently.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -122,6 +121,12 @@ def run_session(
         size = manifest.segment_size(version, index)
         completion = clock + download_time(trace, clock, size, cfg.rtt)
         elapsed = completion - clock
+        if elapsed <= 0:
+            # the download is shorter than one ulp of the clock
+            raise ValueError(
+                f"segment {index}: a download of size_bits {size} requested at "
+                f"request_time_s {clock} takes no time at this clock's resolution"
+            )
 
         buffer_before = buffer
         if playing:
@@ -195,12 +200,20 @@ LOG_COLUMNS = (
 _COLUMNS = tuple(column for column, _ in LOG_COLUMNS)
 _COLUMN_SET = frozenset(_COLUMNS)
 _column_values = itemgetter(*_COLUMNS)
-# One JSONL record line. json.dumps writes an int or a finite float as its
-# repr, and a str through encode_basestring_ascii, so this template gives the
-# same bytes as json.dumps(dict(zip(_COLUMNS, record))) for a valid record.
-_RECORD_LINE = "{%s}\n" % ", ".join(
-    f"{json.dumps(column)}: {'%s' if column == 'case' else '%r'}" for column in _COLUMNS
-)
+# One JSONL record line, filled with value text. json.dumps writes an int or a
+# finite float as its repr, and a str through encode_basestring_ascii, so the
+# line has the same bytes as json.dumps(dict(zip(_COLUMNS, record))) for a
+# valid record.
+_RECORD_LINE = "{%s}\n" % ", ".join(f"{json.dumps(column)}: %s" for column in _COLUMNS)
+_CSV_HEADER = ",".join(_COLUMNS) + "\r\n"
+# The policies' case labels. None holds a comma, a quote or a line break, so
+# the CSV log is written unquoted, byte for byte as csv.writer would write it.
+_CASES = frozenset(policies.AVG_CASES + (policies.CASE_ITB,))
+_case_label = itemgetter(_COLUMNS.index("case"))
+# Records formatted and written, or log lines parsed, at a time. A block's
+# text and parsed objects take a few tens of kB, so peak memory does not grow
+# with the log; larger blocks were no faster and raised peak memory.
+_BLOCK = 64
 
 
 def _finite(values) -> bool:
@@ -233,21 +246,75 @@ _HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
 
 
-def log_to_jsonl(log: SessionLog) -> str:
+def _value_text(records):
+    """Yield each block of records as value text, which both writers share.
+
+    A record's text is the repr of its nine numbers and its raw ``case`` label.
+    """
+    r = repr
+    for start in range(0, len(records), _BLOCK):
+        block = records[start : start + _BLOCK]
+        yield [
+            (r(i), r(v), r(size), r(req), r(done), r(tput), r(before), r(after), case, r(stall))
+            for i, v, size, req, done, tput, before, after, case, stall in block
+        ]
+
+
+def _jsonl_lines(block) -> str:
+    enc = encode_basestring_ascii
+    return "".join(
+        [
+            _RECORD_LINE % (i, v, size, req, done, tput, before, after, enc(case), stall)
+            for i, v, size, req, done, tput, before, after, case, stall in block
+        ]
+    )
+
+
+def _csv_lines(block) -> str:
+    return "\r\n".join(map(",".join, block)) + "\r\n"
+
+
+def _jsonl_header(log: SessionLog) -> str:
     header = {key: getattr(log, field) for key, field, _ in _HEADER_FIELDS}
     header["config"] = log.config.as_dict()
-    lines = [json.dumps(header, sort_keys=True) + "\n"]
-    enc = encode_basestring_ascii
-    lines += [
-        _RECORD_LINE % (i, v, size, req, done, tput, before, after, enc(case), stall)
-        for i, v, size, req, done, tput, before, after, case, stall in log.records
-    ]
-    return "".join(lines)
+    return json.dumps(header, sort_keys=True) + "\n"
+
+
+def _check_cases(records) -> None:
+    unknown = set(map(_case_label, records)) - _CASES
+    if unknown:
+        raise ValueError(
+            f"case label {min(unknown)!r} is not one of {sorted(_CASES)}, "
+            f"so it cannot be written to an unquoted CSV log"
+        )
+
+
+def log_to_jsonl(log: SessionLog) -> str:
+    return _jsonl_header(log) + "".join(map(_jsonl_lines, _value_text(log.records)))
 
 
 def save_log_jsonl(log: SessionLog, path) -> None:
     with open(path, "w") as fh:
-        fh.write(log_to_jsonl(log))
+        fh.write(_jsonl_header(log))
+        fh.writelines(map(_jsonl_lines, _value_text(log.records)))
+
+
+def save_log_csv(log: SessionLog, path) -> None:
+    _check_cases(log.records)
+    with open(path, "w", newline="") as fh:
+        fh.write(_CSV_HEADER)
+        fh.writelines(map(_csv_lines, _value_text(log.records)))
+
+
+def save_logs(log: SessionLog, jsonl_path, csv_path) -> None:
+    """Write both logs of ``log`` from one formatting pass, block by block."""
+    _check_cases(log.records)
+    with open(jsonl_path, "w") as jsonl_file, open(csv_path, "w", newline="") as csv_file:
+        jsonl_file.write(_jsonl_header(log))
+        csv_file.write(_CSV_HEADER)
+        for block in _value_text(log.records):
+            jsonl_file.write(_jsonl_lines(block))
+            csv_file.write(_csv_lines(block))
 
 
 def _check_keys(obj, keys, where: str) -> None:
@@ -288,6 +355,25 @@ def _json_line(path, lineno: int, line: str):
         raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
 
 
+def _block_values(path, block) -> list:
+    """The JSON values of a block of (line number, line) pairs.
+
+    One ``json.loads`` parses the whole block. Each line must start an
+    object, so that as many values as lines means one value per line; if
+    not, or if the block does not parse, it is parsed line by line, and the
+    first bad line is named.
+    """
+    texts = [line for _, line in block]
+    if all(map(str.startswith, texts, itertools.repeat("{"))):
+        try:
+            rows = json.loads("[" + ",".join(texts) + "]")
+        except json.JSONDecodeError:
+            rows = None
+        if rows is not None and len(rows) == len(texts):
+            return rows
+    return [_json_line(path, lineno, line) for lineno, line in block]
+
+
 def load_log_jsonl(path) -> SessionLog:
     records = []
     make_record = SegmentRecord._make
@@ -306,11 +392,12 @@ def load_log_jsonl(path) -> SessionLog:
             config = ClientConfig(**header["config"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: header config: {exc}") from exc
-        for lineno, line in lines:
-            row = _json_line(path, lineno, line)
-            if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                _check_keys(row, _COLUMNS, f"{path}: line {lineno}")
-            records.append(make_record(_column_values(row)))
+        while block := list(itertools.islice(lines, _BLOCK)):
+            rows = _block_values(path, block)
+            for (lineno, _), row in zip(block, rows):
+                if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
+                    _check_keys(row, _COLUMNS, f"{path}: line {lineno}")
+            records.extend(map(make_record, map(_column_values, rows)))
     # whole columns at a time, which is far cheaper than a check per value
     for name, rule, column in zip(_COLUMNS, _COLUMN_RULES, zip(*records)):
         if not _valid(column, rule):
@@ -321,10 +408,3 @@ def load_log_jsonl(path) -> SessionLog:
         config=config,
         **{field: header[key] for key, field, _ in _HEADER_FIELDS},
     )
-
-
-def save_log_csv(log: SessionLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        writer.writerows(log.records)

@@ -21,6 +21,11 @@ class StateError(RuntimeError):
     """Raised when an operation is applied to state in the wrong order."""
 
 
+# The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
+# projection, 2 ** (QP gap / 6), finite.
+QP_MIN, QP_MAX = 0, 63
+
+
 @dataclass(frozen=True)
 class VersionInfo:
     """One encoded version of the video.
@@ -37,8 +42,10 @@ class VersionInfo:
         # exact type checks: JSON true/false are bools, and bool is an int
         if type(self.index) is not int or self.index < 1:
             raise ValueError(f"version index must be an int >= 1, got {self.index!r}")
-        if type(self.qp) is not int:
-            raise ValueError(f"version {self.index}: qp must be an int, got {self.qp!r}")
+        if not (type(self.qp) is int and QP_MIN <= self.qp <= QP_MAX):
+            raise ValueError(
+                f"version {self.index}: qp must be an int in {QP_MIN}..{QP_MAX}, got {self.qp!r}"
+            )
         if not isinstance(self.segment_sizes, (list, tuple)):
             raise ValueError(
                 f"version {self.index}: segment_sizes must be a list, "
@@ -157,6 +164,13 @@ def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
 
 _POLICIES = ("avg", "itb")
 UPTREND_GATES = ("prose", "pseudocode")
+# exact types allowed for a ClientConfig field of each annotated type, and
+# their wording; JSON true/false are bools, and bool is an int
+_FIELD_TYPES = {
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -183,6 +197,11 @@ class ClientConfig:
     uptrend_gate: str = "prose"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, wording = _FIELD_TYPES[f.type]
+            if type(value) not in types:
+                raise ValueError(f"{f.name} must be {wording}, got {value!r}")
         if not 0 < self.beta_min < self.beta_max < math.inf:
             raise ValueError(
                 f"need finite 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"

@@ -249,6 +249,14 @@ def _rename_version_column(records):
             lambda h, r: h.update(trace_label=5), "line 1: field 'trace_label'",
             id="trace-label-not-string",
         ),
+        pytest.param(
+            lambda h, r: h["config"].update(window_n=2.5), "header config: window_n",
+            id="float-window-n",
+        ),
+        pytest.param(
+            lambda h, r: h["config"].update(theta="0.9"), "header config: theta",
+            id="string-theta",
+        ),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
@@ -312,6 +320,12 @@ def _set_trace_row(row):
             "manifest", lambda m: m.update(segment_duration_s=True), "segment_duration",
             id="bool-duration",
         ),
+        pytest.param(
+            "manifest", lambda m: m["versions"][0].update(qp=2**70), "qp", id="qp-huge"
+        ),
+        pytest.param(
+            "manifest", lambda m: m["versions"][5].update(qp=-1), "qp", id="qp-negative"
+        ),
         pytest.param("trace", _set_trace_row("120.0,nan"), "bandwidth", id="nan-bandwidth"),
         pytest.param("trace", _set_trace_row("120.0,inf"), "bandwidth", id="inf-bandwidth"),
         pytest.param("trace", _set_trace_row("nan,500.0"), "breakpoint", id="nan-time"),
@@ -350,3 +364,40 @@ def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
     assert field in proc.stderr
     if bad is not None:
         assert str(bad) in proc.stderr
+
+
+def _one_bit_segments(m):
+    for version in m["versions"]:
+        version["segment_sizes"] = [1] * len(version["segment_sizes"])
+
+
+@pytest.mark.parametrize(
+    "edit, trace_rows, extra",
+    [
+        pytest.param(lambda m: m.update(segment_duration_s=1e20), None, [], id="huge-duration"),
+        pytest.param(_one_bit_segments, ["0.0,1e12"], ["--rtt", "0"], id="one-bit-segments"),
+    ],
+)
+def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, extra):
+    # a download shorter than one ulp of the clock takes no time at all
+    manifest, trace = inputs
+    data = json.loads(manifest.read_text())
+    edit(data)
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps(data))
+    if trace_rows is not None:
+        trace = tmp_path / "fast.csv"
+        trace.write_text("\n".join(["time_s,bandwidth_kbps", *trace_rows]) + "\n")
+
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for named in (str(manifest), str(trace), "segment ", "size_bits", "request_time_s"):
+        assert named in proc.stderr

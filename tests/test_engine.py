@@ -9,6 +9,7 @@ import pytest
 from tests_support import synthetic_log
 from vbrsim import policies
 from vbrsim.engine import (
+    _BLOCK,
     LOG_COLUMNS,
     SegmentRecord,
     download_time,
@@ -17,6 +18,7 @@ from vbrsim.engine import (
     run_session,
     save_log_csv,
     save_log_jsonl,
+    save_logs,
 )
 from vbrsim.model import BandwidthTrace, ClientConfig, VersionInfo, VideoManifest
 from vbrsim.policies import decide
@@ -359,6 +361,85 @@ class TestLogSerialization:
         assert {"itb", "stable"} <= {r.case_label for log in sessions for r in log.records}
         for log in sessions:
             assert log_to_jsonl(log) == dumps_jsonl(log)
+
+    def test_save_logs_matches_one_file_writers(self, tmp_path):
+        vbr = gen_vbr_ladder(ladder_preset("sony-like"))
+        rect = gen_rect_bandwidth(2.5e6, 0.5e6, 120, 60, 600)
+        drop = BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))
+        sessions = [
+            run_session(vbr, rect, ClientConfig(policy="itb"), trace_label="rect"),
+            run_session(vbr, rect, ClientConfig(policy="avg", window_n=30), trace_label="rect"),
+            run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
+        ]
+        assert sessions[-1].total_stall > 0
+        names = [column for column, _ in LOG_COLUMNS]
+        for n, log in enumerate(sessions):
+            jsonl, csv_path = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
+            save_logs(log, jsonl, csv_path)
+            save_log_jsonl(log, tmp_path / "one.jsonl")
+            save_log_csv(log, tmp_path / "one.csv")
+            with open(tmp_path / "oracle.csv", "w", newline="") as fh:  # the old CSV writer
+                writer = csv.writer(fh)
+                writer.writerow(names)
+                writer.writerows(log.records)
+            oracle = (tmp_path / "oracle.csv").read_bytes()
+            assert oracle.count(b"\r\n") == len(log.records) + 1
+            assert csv_path.read_bytes() == (tmp_path / "one.csv").read_bytes() == oracle
+            assert jsonl.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+            assert jsonl.read_text() == log_to_jsonl(log)
+
+    def test_csv_rejects_unknown_case_label(self, tmp_path):
+        log = synthetic_log([1, 2, 1])
+        records = log.records[:2] + (log.records[2]._replace(case_label='odd,"label"'),)
+        odd = replace(log, records=records)
+        with pytest.raises(ValueError, match="'odd,\"label\"'"):
+            save_logs(odd, tmp_path / "log.jsonl", tmp_path / "log.csv")
+        with pytest.raises(ValueError, match="'odd,\"label\"'"):
+            save_log_csv(odd, tmp_path / "log.csv")
+        assert '"case": "odd,\\"label\\""' in log_to_jsonl(odd)
+
+    def _long_log_lines(self, tmp_path):
+        """A written log of more than two parse blocks, as a list of lines."""
+        log = synthetic_log([1, 2] * (_BLOCK * 3 // 2 + 5))
+        path = tmp_path / "log.jsonl"
+        save_log_jsonl(log, path)
+        assert load_log_jsonl(path) == log
+        return path, path.read_text().splitlines(keepends=True)
+
+    # the header is line 1, so parse block k starts at line 2 + k * _BLOCK
+
+    def test_malformed_line_past_first_block_named(self, tmp_path):
+        path, lines = self._long_log_lines(tmp_path)
+        n = 2 + 2 * _BLOCK + 5
+        lines[n - 1] = lines[n - 1][:40] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line {n}: malformed log"):
+            load_log_jsonl(path)
+
+    def test_two_records_on_one_line_rejected(self, tmp_path):
+        path, lines = self._long_log_lines(tmp_path)
+        # line n holds its own record and the next line's
+        n = 2 + _BLOCK + 10
+        lines[n - 1 : n + 1] = [lines[n - 1].rstrip("\n") + ", " + lines[n]]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line {n}: malformed log"):
+            load_log_jsonl(path)
+        # a record split over lines m and m + 1 of the same block makes the
+        # block hold as many records as lines again
+        m = 2 + _BLOCK + 3
+        head, tail = lines[m - 1].split(", ", 1)
+        lines[m - 1 : m] = [head + "\n", tail]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line {m}: malformed log"):
+            load_log_jsonl(path)
+
+    def test_bad_value_past_first_block_named(self, tmp_path):
+        path, lines = self._long_log_lines(tmp_path)
+        n = 2 + 2 * _BLOCK + 7
+        lines[n - 1] = lines[n - 1].replace('"stall_s": 0.0', '"stall_s": "0.0"')
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line {n}: field 'stall_s'"):
+            load_log_jsonl(path)
 
     def test_empty_log_file_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"

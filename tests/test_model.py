@@ -70,7 +70,7 @@ class TestManifestInvariants:
         )
         with pytest.raises(ValueError):
             VideoManifest(title="bad", segment_duration=2.0, versions=versions)
-        for bad in ("30", 30.0, True):
+        for bad in ("30", 30.0, True, -1, 64, 2**70):
             with pytest.raises(ValueError, match="qp must be an int"):
                 VersionInfo(index=1, qp=bad, segment_sizes=(100,))
 
@@ -163,11 +163,33 @@ class TestClientConfig:
             {"beta_max": math.inf},
             {"beta_max": math.nan},
             {"beta_min": math.nan},
+            {"window_n": 2.5},
+            {"theta": "0.9"},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ClientConfig(**kwargs)
+
+    def test_wrong_types_name_the_field(self):
+        bad = {
+            "window_n": (2.5, True, "30"),
+            "start_version": (1.0, False),
+            "beta_min": ("10", True, None),
+            "beta_max": ("50",),
+            "delta": (True,),
+            "theta": ("0.9", [1.05]),
+            "rtt": (False,),
+            "policy": (1, None),
+            "uptrend_gate": (True,),
+        }
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    ClientConfig(**{name: value})
+        assert ClientConfig(beta_min=5, beta_max=60, delta=1, theta=1, rtt=0) == ClientConfig(
+            beta_min=5.0, beta_max=60.0, delta=1.0, theta=1.0, rtt=0.0
+        )
 
 
 class TestFileFormats:
