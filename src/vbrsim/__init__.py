@@ -1,61 +1,16 @@
 """Trace-driven simulator for buffer-based rate adaptation of VBR video."""
 
-from .engine import SegmentRecord, SessionLog, download_time, run_session
-from .estimators import EstimatorState, estimate_cross_version_bitrate
-from .metrics import SessionStats, buffer_cdf, compute_stats, warmup_segments
-from .model import (
-    BandwidthTrace,
-    ClientConfig,
-    ClientView,
-    StateError,
-    VersionInfo,
-    VideoManifest,
-    bandwidth_at,
-    load_manifest,
-    load_trace,
-    save_manifest,
-    save_trace,
-    segment_bitrate,
-)
-from .policies import (
-    Decision,
-    avg_decide,
-    flexible_threshold,
-    itb_decide,
-    select_panic_version,
-)
-from .scenarios import LadderSpec, gen_rect_bandwidth, gen_vbr_ladder, ladder_preset
+from .engine import run_session
+from .metrics import compute_stats, warmup_segments
+from .model import ClientConfig
+from .scenarios import gen_rect_bandwidth, gen_vbr_ladder, ladder_preset
 
 __all__ = [
-    "BandwidthTrace",
     "ClientConfig",
-    "ClientView",
-    "Decision",
-    "EstimatorState",
-    "LadderSpec",
-    "SegmentRecord",
-    "SessionLog",
-    "SessionStats",
-    "StateError",
-    "VersionInfo",
-    "VideoManifest",
-    "avg_decide",
-    "bandwidth_at",
-    "buffer_cdf",
     "compute_stats",
-    "download_time",
-    "estimate_cross_version_bitrate",
-    "flexible_threshold",
     "gen_rect_bandwidth",
     "gen_vbr_ladder",
-    "itb_decide",
     "ladder_preset",
-    "load_manifest",
-    "load_trace",
     "run_session",
-    "save_manifest",
-    "save_trace",
-    "segment_bitrate",
-    "select_panic_version",
     "warmup_segments",
 ]

@@ -101,9 +101,8 @@ def run_session(
     num_versions = manifest.num_versions
     if not 1 <= cfg.start_version <= num_versions:
         raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
-    qps = manifest.qps
     duration = manifest.segment_duration
-    est = EstimatorState(num_versions, cfg.window_n)
+    est = EstimatorState(manifest.qps, cfg)
 
     clock = 0.0
     buffer = 0.0
@@ -140,15 +139,10 @@ def run_session(
             playback_start = completion
 
         t_instant = size / elapsed
-        est.ingest_segment(index, version, size / duration, qps, cfg.theta)
-        est.update_smoothed_throughput(t_instant, cfg.delta)
+        est.ingest_segment(index, version, size / duration)
+        est.update_smoothed_throughput(t_instant)
 
-        view = ClientView(
-            buffer_level=buffer,
-            last_version=version,
-            last_throughput=t_instant,
-            num_versions=num_versions,
-        )
+        view = ClientView(buffer_level=buffer, last_version=version, last_throughput=t_instant)
         decision = policies.decide(view, est, cfg)
 
         records.append(
@@ -351,7 +345,7 @@ def _record_lineno(path, i: int) -> int:
 def _json_line(path, lineno: int, line: str):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
 
 
@@ -367,7 +361,7 @@ def _block_values(path, block) -> list:
     if all(map(str.startswith, texts, itertools.repeat("{"))):
         try:
             rows = json.loads("[" + ",".join(texts) + "]")
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             rows = None
         if rows is not None and len(rows) == len(texts):
             return rows

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import StateError
+from .model import QP_MAX, QP_MIN, ClientConfig, StateError
 
 
 def estimate_cross_version_bitrate(
@@ -37,17 +37,22 @@ def estimate_cross_version_bitrate(
 
 
 class EstimatorState:
-    """Single-writer estimator state for one streaming session."""
+    """Single-writer estimator state for one streaming session.
 
-    def __init__(self, num_versions: int, window_n: int):
-        if num_versions < 1:
-            raise ValueError(f"num_versions must be >= 1, got {num_versions}")
-        if window_n < 1:
-            raise ValueError(f"window_n must be >= 1, got {window_n}")
-        self.num_versions = num_versions
+    ``qps`` holds each version's QP (index 0 = version 1); the window N, theta
+    and delta come from ``cfg``. All are fixed for the session.
+    """
+
+    def __init__(self, qps, cfg: ClientConfig):
+        if not qps or not all(type(qp) is int and QP_MIN <= qp <= QP_MAX for qp in qps):
+            raise ValueError(f"qps must be one int in {QP_MIN}..{QP_MAX} per version, got {qps!r}")
+        self.qps = tuple(qps)
+        self.num_versions = len(self.qps)
+        self.theta = cfg.theta
+        self.delta = cfg.delta
         self.segments_seen = 0
         self._smoothed = None
-        self._windows = [deque(maxlen=window_n) for _ in range(num_versions)]
+        self._windows = [deque(maxlen=cfg.window_n) for _ in self.qps]
 
     @property
     def smoothed_throughput(self):
@@ -64,26 +69,18 @@ class EstimatorState:
         """Per-version bitrate of the most recent segment (actual or projected)."""
         return tuple(w[-1] for w in self._windows)
 
-    def update_smoothed_throughput(self, t_instant: float, delta: float) -> float:
+    def update_smoothed_throughput(self, t_instant: float) -> float:
         """Fold one instant throughput sample into the smoothed estimate."""
         if t_instant <= 0:
             raise ValueError(f"throughput must be > 0, got {t_instant}")
-        if not 0 < delta <= 1:
-            raise ValueError(f"delta must be in (0, 1], got {delta}")
         if self._smoothed is None:
             self._smoothed = t_instant
         else:
+            delta = self.delta
             self._smoothed = (1.0 - delta) * self._smoothed + delta * t_instant
         return self._smoothed
 
-    def ingest_segment(
-        self,
-        index: int,
-        received_version: int,
-        b_actual: float,
-        qps,
-        theta: float,
-    ) -> None:
+    def ingest_segment(self, index: int, received_version: int, b_actual: float) -> None:
         """Record segment ``index`` received at ``received_version``.
 
         ``b_actual`` is the measured bitrate of that segment; every other
@@ -101,14 +98,11 @@ class EstimatorState:
             )
         if b_actual <= 0:
             raise ValueError(f"bitrate must be > 0, got {b_actual}")
-        if len(qps) != self.num_versions:
-            raise ValueError(f"expected {self.num_versions} qps, got {len(qps)}")
 
-        qp_from = qps[received_version - 1]
-        for k in range(1, self.num_versions + 1):
+        qp_from = self.qps[received_version - 1]
+        for k, (qp, window) in enumerate(zip(self.qps, self._windows), start=1):
             if k == received_version:
-                b = b_actual
+                window.append(b_actual)
             else:
-                b = estimate_cross_version_bitrate(b_actual, qp_from, qps[k - 1], theta)
-            self._windows[k - 1].append(b)
+                window.append(estimate_cross_version_bitrate(b_actual, qp_from, qp, self.theta))
         self.segments_seen += 1

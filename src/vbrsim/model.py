@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 
 class StateError(RuntimeError):
@@ -227,24 +228,17 @@ class ClientConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class ClientView:
+class ClientView(NamedTuple):
     """What a policy is allowed to observe.
 
     This is the information barrier: the buffer level, plus the version and
-    instant throughput of the segment just received and the number of
-    versions. Everything else a policy reads is estimator state, built from
-    received segments only.
+    instant throughput of the segment just received. Everything else a policy
+    reads is estimator state, built from received segments only.
     """
 
     buffer_level: float
     last_version: int
     last_throughput: float
-    num_versions: int
-
-    def __post_init__(self):
-        if self.buffer_level < 0:
-            raise ValueError(f"buffer_level must be >= 0, got {self.buffer_level}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +285,18 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def manifest_to_dict(manifest: VideoManifest) -> dict:
-    return {
+def load_manifest(path) -> VideoManifest:
+    path = Path(path)
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    return manifest_from_dict(data, where=str(path))
+
+
+def save_manifest(manifest: VideoManifest, path) -> None:
+    data = {
         "title": manifest.title,
         "segment_duration_s": manifest.segment_duration,
         "size_unit": "bits",
@@ -301,21 +305,8 @@ def manifest_to_dict(manifest: VideoManifest) -> dict:
             for v in manifest.versions
         ],
     }
-
-
-def load_manifest(path) -> VideoManifest:
-    path = Path(path)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return manifest_from_dict(data, where=str(path))
-
-
-def save_manifest(manifest: VideoManifest, path) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest_to_dict(manifest), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

@@ -100,7 +100,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
 
     if buffer > cfg.beta_max:
         nxt = current
-        if current < view.num_versions:
+        if current < est.num_versions:
             if cfg.uptrend_gate == "prose":
                 gate_rep = reps[current]  # next-higher version
             else:

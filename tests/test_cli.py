@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import math
 import os
@@ -185,6 +187,61 @@ def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):
     assert capsys.readouterr().out == table
 
 
+# sha256 of every file the README quick start writes. The simulator is
+# deterministic, so any change here is a change of behaviour or format.
+README_RUN_SHA256 = {
+    "avg-10.cdf.csv": "acf4ef4cba0d9af887dbebae1b2ead7350752061a94581a0b94e17f1afeab3a8",
+    "avg-10.csv": "b76c71900c7843a5284206b8f0fd0f2bef6fb5c0f552847bd4e25b9dbc0a0fd0",
+    "avg-10.jsonl": "62f0a4571b334184b7bf4c3ac054f696593b2dc8bcddf9e00c0481027d4a5d03",
+    "avg-10.stats.json": "f6190cc2b2def13e457d9c83235720a4a2beb19ecf464d6218c619baf675e6fe",
+    "avg-10.stats.txt": "83d04a7ed94443da3913649c0195ca6117dc9f7c1896e6447d322aa8e4cb1b02",
+    "avg-30.cdf.csv": "cfe3145f50a0ac36665381acb5cfcfaa5ec124e995fbcbca32945817ca631332",
+    "avg-30.csv": "093ca11d67cdb15fffe255c6f8f39ff6100cf3b0e6b25a59ce615057a1fbc0f9",
+    "avg-30.jsonl": "511f37ba88e2b8b7296b2a47f91d06e264f14f3c17aeddf0a5cae9b22f40bddb",
+    "avg-30.stats.json": "f9c751a0d41bfceda6b376d6fe3b7a2efd6f7a3c88a4919b68eaac741eff082b",
+    "avg-30.stats.txt": "4fcb29579f2f42857832bb54db7bd2a1ad0c667a224558bc00780041a20dd6a4",
+    "avg-50.cdf.csv": "93f2f83cdba8c9eb3f524946641ae4fb53098d17e15cfabf17f24a373d1b2f0b",
+    "avg-50.csv": "72210326cbfc059154de716dd152b894b135e5a9682b7300362091d2080990ad",
+    "avg-50.jsonl": "18b48d55873b121045c9f0a29b8920edeb8b32315b2e021a284755954a9f5881",
+    "avg-50.stats.json": "456608efd3f50334e1107d1ed3b0767cd8ebf261ecc0e44614a92d2726082f6d",
+    "avg-50.stats.txt": "100dbd8ae12363fa08bdaa51f35576142bc9fd4dd5c1dcec98d4c20132644c2f",
+    "comparison.txt": "48eb1a1b1fa63d4c65d63d7f7364e4f84defbffa34c33f85187c03d21e5cf4a6",
+    "itb.cdf.csv": "27d4cce1cf19eebbc0dcd979e906659decaad81f42e9df8926b20d3ccf00b73c",
+    "itb.csv": "04857056fe1ca016b98dd6287e1ace8d4c41e0fc9da359888196c9f96b2361f6",
+    "itb.jsonl": "c62c2f7b15e599ed6c24345f0ffda3ecec9364371e65a31f0738add1a25091af",
+    "itb.stats.json": "504e92ec0aa2093f412d406ef2b054f97fa289220867c4819ca6819748f93497",
+    "itb.stats.txt": "0e5c829fccc90f8f7192c563a76e2b56965d31d73a3f0d6e8f93e9670e70fb94",
+}
+
+
+def test_readme_quick_start_writes_recorded_bytes(inputs, tmp_path):
+    manifest, trace = inputs
+    out = tmp_path / "out"
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+    assert main(args + ["--policy", "itb,avg:10,avg:30,avg:50", "--warmup", "auto"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == README_RUN_SHA256
+
+
+def test_readme_library_block_runs_and_is_the_public_surface():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "vbrsim"
+        for alias in node.names
+    ]
+    namespace = {}
+    exec(block, namespace)
+    # the README table's AVG-30 column: one version at a time, never below 2
+    assert namespace["stats"].max_switch_degree == 1
+    assert namespace["stats"].min_version == 2
+    assert sorted(vbrsim.__all__) == sorted(imported)
+    for name in vbrsim.__all__:
+        assert getattr(vbrsim, name) is namespace[name]
+
+
 class TestStats:
     def test_recompute_from_log(self, inputs, tmp_path, capsys):
         manifest, trace = inputs
@@ -364,6 +421,48 @@ def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
     assert field in proc.stderr
     if bad is not None:
         assert str(bad) in proc.stderr
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        pytest.param("stats", _NESTED, "line 4: malformed log", id="nested-log-line"),
+        pytest.param(
+            "stats", '{"index": %s}' % _NESTED, "line 4: malformed log", id="nested-log-value"
+        ),
+        pytest.param("run", _NESTED, "not valid JSON", id="nested-manifest"),
+    ],
+)
+def test_deeply_nested_json_exits_2(inputs, tmp_path, command, text, message):
+    # json.dumps would itself recurse on this value, so the text is written directly
+    manifest, trace = inputs
+    if command == "stats":
+        out = tmp_path / "out"
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+        assert main(args) == 0
+        lines = (out / "avg-30.jsonl").read_text().splitlines(keepends=True)
+        lines[3] = text + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines))
+        args = ["--log", str(bad)]
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = ["--manifest", str(bad), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", command, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{bad}: {message}" in proc.stderr
 
 
 def _one_bit_segments(m):

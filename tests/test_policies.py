@@ -23,7 +23,6 @@ def make_view(buffer_level, last_version, t_instant):
         buffer_level=buffer_level,
         last_version=last_version,
         last_throughput=t_instant,
-        num_versions=len(QPS6),
     )
 
 
@@ -34,6 +33,7 @@ def make_est(reps, latest, smoothed):
         latest_bitrates=tuple(latest),
         smoothed_throughput=smoothed,
         segments_seen=1,
+        num_versions=len(QPS6),
     )
 
 
