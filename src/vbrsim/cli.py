@@ -69,7 +69,10 @@ def _client_config(args, policy_id: str, window: int) -> model.ClientConfig:
 def _warmup_count(arg: str, log: engine.SessionLog) -> int:
     if arg == "auto":
         return metrics.warmup_segments(log)
-    return int(arg)
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"--warmup must be an integer or 'auto', got {arg!r}") from None
 
 
 def cmd_run(args) -> int:

@@ -49,6 +49,27 @@ class TestGen:
         code = main(["gen", "bandwidth", "tri", "1", "2", "3", "4", "5", "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["bandwidth", "rect", "2500", "500", "120", "60", "inf"], "total"),
+            # 5e299 breakpoints: must fail before building any of them
+            (["bandwidth", "rect", "2500", "500", "1", "1", "1e300"], "total"),
+            (["bandwidth", "rect", "2500", "500", "nan", "60", "600"], "period_high"),
+            (["bandwidth", "rect", "2500", "500", "120", "nan", "600"], "period_low"),
+            (["ladder", "--preset", "sony-like", "--burstiness", "nan"], "burstiness"),
+            (["ladder", "--preset", "sony-like", "--burstiness", "inf"], "burstiness"),
+            (["ladder", "--preset", "sony-like", "--burstiness", "1e200"], "burstiness"),
+        ],
+    )
+    def test_bad_generator_params_exit_2(self, tmp_path, capsys, args, field):
+        out = tmp_path / "out"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_single_policy_outputs(self, inputs, tmp_path, capsys):
@@ -176,6 +197,20 @@ class TestRun:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_non_integer_warmup_names_the_option(inputs, tmp_path, capsys, command):
+    manifest, trace = inputs
+    run = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path)]
+    if command == "run":
+        args = run
+    else:
+        assert main(run) == 0
+        args = ["stats", "--log", str(tmp_path / "avg-30.jsonl")]
+    capsys.readouterr()
+    assert main(args + ["--warmup", "abc"]) == 2
+    assert "--warmup must be an integer or 'auto'" in capsys.readouterr().err
 
 
 def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):

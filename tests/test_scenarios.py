@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
-from vbrsim.estimators import estimate_cross_version_bitrate
-from vbrsim.model import bandwidth_at
+from vbrsim import scenarios
+from vbrsim.model import bandwidth_at, save_manifest
 from vbrsim.scenarios import (
+    BURST_PERIOD,
     LADDER_PRESETS,
     LadderSpec,
     gen_rect_bandwidth,
@@ -13,13 +16,11 @@ from vbrsim.scenarios import (
 
 def small_spec(**overrides):
     values = dict(
-        num_versions=3,
         qps=(42, 34, 28),
         target_avg_bitrates=(400e3, 1000e3, 2200e3),
         segment_count=50,
         segment_duration=2.0,
         burstiness=0.3,
-        burst_period=10,
         seed=123,
     )
     values.update(overrides)
@@ -72,30 +73,23 @@ class TestVbrLadder:
             mean = sum(m.versions[k - 1].segment_sizes) / spec.segment_count / 2.0
             assert mean == pytest.approx(target, rel=0.01)
 
-    def test_model_consistency_before_rescale(self):
-        # without rescaling/quantization/model noise, projecting any version's
-        # bitrate onto any other recovers it up to exactly one theta factor
-        spec = small_spec(model_error=0.0)
-        m = gen_vbr_ladder(spec, rescale=False, quantize=False)
-        theta = 1.05
-        for i in range(0, spec.segment_count, 7):
-            for src in range(1, 4):
-                b_src = m.versions[src - 1].segment_sizes[i] / 2.0
-                for dst in range(1, 4):
-                    if src == dst:
-                        continue
-                    b_dst = m.versions[dst - 1].segment_sizes[i] / 2.0
-                    est = estimate_cross_version_bitrate(
-                        b_src, spec.qps[src - 1], spec.qps[dst - 1], theta
-                    )
-                    assert est == pytest.approx(theta * b_dst, rel=1e-12)
+    def test_versions_share_one_shape(self, monkeypatch):
+        # without the per-version noise every version is the top version's
+        # shape scaled to its own target mean
+        monkeypatch.setattr(scenarios, "MODEL_ERROR", 0.0)
+        spec = small_spec()
+        m = gen_vbr_ladder(spec)
+        top_sizes = m.versions[-1].segment_sizes
+        top_target = spec.target_avg_bitrates[-1]
+        for version, target in zip(m.versions, spec.target_avg_bitrates):
+            for size, top_size in zip(version.segment_sizes, top_sizes):
+                assert size == pytest.approx(top_size * target / top_target, rel=1e-5)
 
     def test_burst_segments_stand_out(self):
-        spec = small_spec(burstiness=0.2, burst_period=10, model_error=0.0)
-        m = gen_vbr_ladder(spec, rescale=False, quantize=False)
+        m = gen_vbr_ladder(small_spec(burstiness=0.2, segment_count=100))
         sizes = m.versions[2].segment_sizes
-        non_burst = [s for i, s in enumerate(sizes) if i % 10 != 0]
-        burst = [s for i, s in enumerate(sizes) if i % 10 == 0]
+        non_burst = [s for i, s in enumerate(sizes) if i % BURST_PERIOD != 0]
+        burst = [s for i, s in enumerate(sizes) if i % BURST_PERIOD == 0]
         assert min(burst) > sum(non_burst) / len(non_burst)
 
     def test_presets_have_six_versions_and_qp_ladder(self):
@@ -119,16 +113,49 @@ class TestVbrLadder:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"num_versions": 0, "qps": (), "target_avg_bitrates": ()},
+            {"qps": (), "target_avg_bitrates": ()},
             {"qps": (42, 34)},
             {"qps": (28, 34, 42)},
             {"target_avg_bitrates": (2200e3, 1000e3, 400e3)},
             {"segment_count": 0},
             {"burstiness": -0.1},
-            {"burst_period": 0},
+            {"burstiness": float("nan")},
             {"segment_duration": 0},
+            {"burstiness": float("inf")},
+            {"burstiness": 1e200},  # its square overflows the log-normal variance
+            {"segment_duration": float("nan")},
+            {"target_avg_bitrates": (400e3, 1000e3, float("inf"))},
         ],
     )
     def test_invalid_specs(self, overrides):
         with pytest.raises(ValueError):
             small_spec(**overrides)
+
+
+# sha256 of the manifest file each preset writes at 300 segments, by
+# (preset, seed, burstiness): the generator is deterministic, so any change
+# here changes every run built on a generated ladder.
+MANIFEST_SHA256 = {
+    ("sony-like", 0, 0.0): "40d460fdb29e02fc16df821ef3c28b229fb7cae76812eeaa771f48efe87f02c7",
+    ("sony-like", 0, 0.3): "fbcbb99aacac10142881309c09c7d88acef755f6dfbbfc1ffaac66673948bb93",
+    ("sony-like", 0, 1.0): "640f6c8d40a528a7e5ee0aeb9c8c89967584aba4c8faea110e9c943153e109ff",
+    ("sony-like", 7, 0.0): "40d460fdb29e02fc16df821ef3c28b229fb7cae76812eeaa771f48efe87f02c7",
+    ("sony-like", 7, 0.3): "3b22a773e62dd4187e6f96cd714da486e157cb92e17807c1f30885451767edfa",
+    ("sony-like", 7, 1.0): "777efc22033e04f956a9244a4601cbf18aa7b627ec78e91ffec2cc4df14b4320",
+    ("terminator-like", 0, 0.0): "a7c6ccedd0e9dad59e16c997e7dd5c77ccea9005948e1728bd11681b0ea16583",
+    ("terminator-like", 0, 0.3): "a3a7487ca0696e9f5903be75a11d98e3b130503579039916417e31528f8fcb7a",
+    ("terminator-like", 0, 1.0): "75a42ec92c908dc5000496c8392db10239f05e9b650658fbccbef0bad7e5758d",
+    ("terminator-like", 7, 0.0): "a7c6ccedd0e9dad59e16c997e7dd5c77ccea9005948e1728bd11681b0ea16583",
+    ("terminator-like", 7, 0.3): "168fd40beef9b00f1fe0f3332dc8022c6f5a4ab1cf78956d8d52c2c3d4c0a736",
+    ("terminator-like", 7, 1.0): "aac9088c653c542b51e23ca5893b5207f6b56a987f53e3d176fb7b187465e401",
+}
+
+
+def test_preset_manifests_write_recorded_bytes(tmp_path):
+    written = {}
+    for preset, seed, burstiness in MANIFEST_SHA256:
+        path = tmp_path / f"{preset}-{seed}-{burstiness}.json"
+        spec = ladder_preset(preset, seed=seed, burstiness=burstiness)
+        save_manifest(gen_vbr_ladder(spec, title=preset), path)
+        written[preset, seed, burstiness] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written == MANIFEST_SHA256
