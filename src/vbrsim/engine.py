@@ -147,16 +147,8 @@ def run_session(
 
         records.append(
             SegmentRecord(
-                index=index,
-                version_requested=version,
-                size_bits=size,
-                request_time=clock,
-                completion_time=completion,
-                instant_throughput=t_instant,
-                buffer_before=buffer_before,
-                buffer_after=buffer,
-                case_label=decision.case_label,
-                stall_time=stall,
+                index, version, size, clock, completion, t_instant,
+                buffer_before, buffer, decision.case_label, stall,
             )
         )
         version = decision.next_version

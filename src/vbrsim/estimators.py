@@ -53,6 +53,14 @@ class EstimatorState:
         self.segments_seen = 0
         self._smoothed = None
         self._windows = [deque(maxlen=cfg.window_n) for _ in self.qps]
+        # per received version, the QP model's factor onto every version:
+        # theta * b * gain is the projection, bit for bit
+        self._gains = [
+            tuple(estimate_cross_version_bitrate(1.0, qp_from, qp, 1.0) for qp in self.qps)
+            for qp_from in self.qps
+        ]
+        # per-version bitrate of the most recent segment (actual or projected)
+        self.latest_bitrates = ()
 
     @property
     def smoothed_throughput(self):
@@ -63,11 +71,6 @@ class EstimatorState:
     def rep_bitrates(self) -> tuple:
         """Representative bitrate per version (index 0 = version 1)."""
         return tuple(sum(w) / len(w) for w in self._windows)
-
-    @property
-    def latest_bitrates(self) -> tuple:
-        """Per-version bitrate of the most recent segment (actual or projected)."""
-        return tuple(w[-1] for w in self._windows)
 
     def update_smoothed_throughput(self, t_instant: float) -> float:
         """Fold one instant throughput sample into the smoothed estimate."""
@@ -99,10 +102,10 @@ class EstimatorState:
         if b_actual <= 0:
             raise ValueError(f"bitrate must be > 0, got {b_actual}")
 
-        qp_from = self.qps[received_version - 1]
-        for k, (qp, window) in enumerate(zip(self.qps, self._windows), start=1):
-            if k == received_version:
-                window.append(b_actual)
-            else:
-                window.append(estimate_cross_version_bitrate(b_actual, qp_from, qp, self.theta))
+        scaled = self.theta * b_actual
+        row = [scaled * gain for gain in self._gains[received_version - 1]]
+        row[received_version - 1] = b_actual
+        for window, value in zip(self._windows, row):
+            window.append(value)
+        self.latest_bitrates = tuple(row)
         self.segments_seen += 1

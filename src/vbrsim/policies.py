@@ -25,7 +25,7 @@ the panic selection rule on every segment, ignoring the buffer entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .estimators import EstimatorState
 from .model import ClientConfig, ClientView, StateError
@@ -39,8 +39,7 @@ CASE_ITB = "itb"
 AVG_CASES = (CASE_UPTREND, CASE_STABLE, CASE_DOWNTREND, CASE_PANIC)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of one per-segment policy invocation."""
 
     next_version: int
@@ -93,7 +92,6 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     t_instant = view.last_throughput
     b_instant = est.latest_bitrates[current - 1]
     t_est = est.smoothed_throughput
-    reps = est.rep_bitrates
     buffer = view.buffer_level
 
     threshold = flexible_threshold(t_instant, b_instant, cfg.beta_min, cfg.beta_max)
@@ -101,6 +99,8 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     if buffer > cfg.beta_max:
         nxt = current
         if current < est.num_versions:
+            # representative bitrates are summed only in the regimes that read them
+            reps = est.rep_bitrates
             if cfg.uptrend_gate == "prose":
                 gate_rep = reps[current]  # next-higher version
             else:
@@ -114,6 +114,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
         return Decision(current, CASE_STABLE, flexible_threshold=threshold)
 
     if buffer >= cfg.beta_min:
+        reps = est.rep_bitrates
         candidates = [r for r in reps if r < t_est]
         if candidates:
             target = max(candidates)

@@ -28,6 +28,10 @@ MODEL_ERROR = 0.05  # cv of the per-version noise below the top version
 # Most breakpoints a rectangular trace may have: 50x the largest trace in use
 # (20 000), so a mistyped total or period fails instead of filling memory.
 MAX_RECT_BREAKPOINTS = 1_000_000
+# Most segments a ladder may have: 10x the largest ladder in use (20 000); the
+# generator holds several lists of this length per version (about 117 MB
+# peak at the cap).
+MAX_LADDER_SEGMENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,10 @@ class LadderSpec:
             )
         if any(b <= a for a, b in zip(self.target_avg_bitrates, self.target_avg_bitrates[1:])):
             raise ValueError("target bitrates must strictly increase with version index")
-        if self.segment_count < 1:
-            raise ValueError(f"segment_count must be >= 1, got {self.segment_count}")
+        if not 1 <= self.segment_count <= MAX_LADDER_SEGMENTS:
+            raise ValueError(
+                f"segment_count must be in 1..{MAX_LADDER_SEGMENTS}, got {self.segment_count}"
+            )
         if not 0 < self.segment_duration < math.inf:
             raise ValueError(
                 f"segment_duration must be finite and > 0, got {self.segment_duration}"

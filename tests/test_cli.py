@@ -60,6 +60,8 @@ class TestGen:
             (["ladder", "--preset", "sony-like", "--burstiness", "nan"], "burstiness"),
             (["ladder", "--preset", "sony-like", "--burstiness", "inf"], "burstiness"),
             (["ladder", "--preset", "sony-like", "--burstiness", "1e200"], "burstiness"),
+            # 1e8 segments: must fail before generating any of them
+            (["ladder", "--preset", "sony-like", "--segments", "100000000"], "segment_count"),
         ],
     )
     def test_bad_generator_params_exit_2(self, tmp_path, capsys, args, field):

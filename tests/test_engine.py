@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -387,6 +388,52 @@ class TestLogSerialization:
             assert csv_path.read_bytes() == (tmp_path / "one.csv").read_bytes() == oracle
             assert jsonl.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
             assert jsonl.read_text() == log_to_jsonl(log)
+
+    def test_save_logs_writes_recorded_bytes(self, tmp_path):
+        # sha256 of (.jsonl, .csv) for sessions the README quick start does not
+        # run: the pseudocode gate, another theta, and a trace below the lowest
+        # version, which reaches panic and stalls. Any change is a change of
+        # behaviour or format.
+        recorded = {
+            "itb-pseudocode": (
+                "a18c083f87dce954923b38fdbe80b664d002e475c573b4fc6b78a2247f6a0b3c",
+                "04857056fe1ca016b98dd6287e1ace8d4c41e0fc9da359888196c9f96b2361f6",
+            ),
+            "avg-10-pseudocode": (
+                "acdd5c7a0ef1520173b8e42e3b87da74f8e66b02349fe886e8906c0b2699208f",
+                "fca7eb271c6c1a2574888f950f424ef8a8ebf9ffbeaecd7c0375d884a499e6e4",
+            ),
+            "avg-30-theta-0.9": (
+                "b5c79f187a71c4793d414a7bd89f024f8f9737399bb72981246cc259935fab3b",
+                "7dd97d742289ea11861e19cbe93e76902cc2c0d3f3ee5558adf6b089a796820b",
+            ),
+            "avg-30-starved": (
+                "cf958705bf6327b8df2ede67d695e3f3cf223aa441c469c8101532f4e3405b9c",
+                "f9bfc1b516ac2652a4e9945812c360331c1442bb850ec7d2d0ce14dbde3e1450",
+            ),
+        }
+        vbr = gen_vbr_ladder(ladder_preset("sony-like"))
+        rect = gen_rect_bandwidth(2.5e6, 0.5e6, 120, 60, 600)
+        starved = gen_rect_bandwidth(2.5e6, 150e3, 60, 60, 600)
+        assert starved.breakpoints[1][1] < ladder_preset("sony-like").target_avg_bitrates[0]
+        sessions = {
+            "itb-pseudocode": (rect, ClientConfig(policy="itb", uptrend_gate="pseudocode")),
+            "avg-10-pseudocode": (rect, ClientConfig(window_n=10, uptrend_gate="pseudocode")),
+            "avg-30-theta-0.9": (rect, ClientConfig(theta=0.9)),
+            "avg-30-starved": (starved, ClientConfig()),
+        }
+        written = {}
+        for name, (trace, cfg) in sessions.items():
+            log = run_session(vbr, trace, cfg, trace_label=name)
+            if name == "avg-30-starved":
+                assert log.total_stall > 0
+                assert "panic" in {r.case_label for r in log.records}
+            save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
+            written[name] = tuple(
+                hashlib.sha256((tmp_path / f"log.{ext}").read_bytes()).hexdigest()
+                for ext in ("jsonl", "csv")
+            )
+        assert written == recorded
 
     def test_csv_rejects_unknown_case_label(self, tmp_path):
         log = synthetic_log([1, 2, 1])

@@ -134,6 +134,46 @@ class TestIngest:
                 expected = estimate_cross_version_bitrate(2_000_000, 28, qp, 1.05)
                 assert est.latest_bitrates[k] == expected
 
+    def test_rows_are_the_qp_formula_bit_for_bit(self):
+        # the oracle is the one QP formula, compared with ==, not approx
+        rng = random.Random(35)
+        window_n = 4
+        for theta in (0.5, 1.0, 1.05, 1.7):
+            est = EstimatorState(QPS6, ClientConfig(window_n=window_n, theta=theta))
+            assert est.latest_bitrates == ()
+            histories = [[] for _ in QPS6]
+            for i in range(6 * 15):
+                received = i % 6 + 1
+                b = 10.0 ** rng.uniform(-3, 12)
+                est.ingest_segment(i, received, b)
+                qp_from = QPS6[received - 1]
+                expected = [
+                    estimate_cross_version_bitrate(b, qp_from, qp, theta) for qp in QPS6
+                ]
+                expected[received - 1] = b
+                assert est.latest_bitrates == tuple(expected)
+                for history, value in zip(histories, expected):
+                    history.append(value)
+                assert est.rep_bitrates == tuple(
+                    sum(h[-window_n:]) / len(h[-window_n:]) for h in histories
+                )
+
+    def test_rejected_segment_leaves_state_unchanged(self):
+        est = EstimatorState(QPS6, ClientConfig(window_n=3))
+        for bad in ((1, 1, 100.0), (0, 0, 100.0), (0, 7, 100.0), (0, 1, 0.0), (0, 1, -5.0)):
+            with pytest.raises((StateError, ValueError)):
+                est.ingest_segment(*bad)
+            assert est.latest_bitrates == ()
+            assert est.segments_seen == 0
+        est.ingest_segment(0, 2, 400e3)
+        latest, reps = est.latest_bitrates, est.rep_bitrates
+        for bad in ((0, 2, 400e3), (2, 2, 400e3), (1, 0, 400e3), (1, 7, 400e3), (1, 2, 0.0)):
+            with pytest.raises((StateError, ValueError)):
+                est.ingest_segment(*bad)
+            assert est.latest_bitrates == latest
+            assert est.rep_bitrates == reps
+            assert est.segments_seen == 1
+
     def test_out_of_order_rejected(self):
         est = EstimatorState((30, 24), ClientConfig(window_n=3))
         est.ingest_segment(0, 1, 100)

@@ -287,6 +287,49 @@ class TestAvgDecide:
                 assert d.next_version <= current  # no up-switch below a full buffer
 
 
+class RepTripwire(SimpleNamespace):
+    """Estimator stand-in whose representative bitrates raise when read."""
+
+    @property
+    def rep_bitrates(self):
+        raise LookupError("rep_bitrates read")
+
+
+class TestRepresentativeBitratesReadLazily:
+    # pins the saving: stable, panic and top-version uptrend decisions never
+    # sum the windows (stable alone is about half of AVG-30's decisions on
+    # a long session)
+    READINGS = dict(
+        reps=(210e3, 400e3, 610e3, 1000e3, 2200e3, 5200e3),
+        latest=(200e3, 400e3, 600e3, 1000e3, 2200e3, 5200e3),
+        smoothed=900e3,
+    )
+
+    def tripwire(self):
+        readings = vars(make_est(**self.READINGS))
+        return RepTripwire(**{k: v for k, v in readings.items() if k != "rep_bitrates"})
+
+    @pytest.mark.parametrize("gate", ["prose", "pseudocode"])
+    @pytest.mark.parametrize(
+        "buffer, version, case", [(35, 4, "stable"), (5, 4, "panic"), (51, 6, "uptrend")]
+    )
+    def test_regimes_that_never_read_them(self, buffer, version, case, gate):
+        view = make_view(buffer_level=buffer, last_version=version, t_instant=1000e3)
+        cfg = ClientConfig(uptrend_gate=gate)
+        d = avg_decide(view, self.tripwire(), cfg)
+        assert d.case_label == case
+        assert d == avg_decide(view, make_est(**self.READINGS), cfg)
+
+    @pytest.mark.parametrize("gate", ["prose", "pseudocode"])
+    @pytest.mark.parametrize("buffer, case", [(51, "uptrend"), (20, "downtrend")])
+    def test_regimes_that_read_them(self, buffer, case, gate):
+        view = make_view(buffer_level=buffer, last_version=4, t_instant=1000e3)
+        cfg = ClientConfig(uptrend_gate=gate)
+        assert avg_decide(view, make_est(**self.READINGS), cfg).case_label == case
+        with pytest.raises(LookupError, match="rep_bitrates"):
+            avg_decide(view, self.tripwire(), cfg)
+
+
 class TestItbDecide:
     def test_above_all_bitrates_picks_top(self):
         view = make_view(buffer_level=40, last_version=3, t_instant=9e6)

@@ -125,6 +125,7 @@ class TestVbrLadder:
             {"burstiness": 1e200},  # its square overflows the log-normal variance
             {"segment_duration": float("nan")},
             {"target_avg_bitrates": (400e3, 1000e3, float("inf"))},
+            {"segment_count": scenarios.MAX_LADDER_SEGMENTS + 1},
         ],
     )
     def test_invalid_specs(self, overrides):
