@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import engine, metrics, model, scenarios
@@ -25,45 +26,41 @@ EXIT_IO = 3
 CDF_MAX_POINTS = 1000
 
 
-def _parse_policy_specs(raw: str, default_window: int):
-    """Parse a comma-separated policy list: "itb", "avg", "avg:N".
+def _policy_configs(args) -> list:
+    """The (label, ClientConfig) pair of each policy in ``--policy``.
 
-    Returns a list of (label, policy_id, window_n) triples.
+    ``--policy`` is a comma-separated list of "itb", "avg" (AVG-30) and
+    "avg:N"; every other parameter comes from the options.
     """
+    base = model.ClientConfig(
+        beta_min=args.beta_min,
+        beta_max=args.beta_max,
+        delta=args.delta,
+        theta=args.theta,
+        rtt=args.rtt,
+        start_version=args.start_version,
+        uptrend_gate=args.uptrend_gate,
+    )
     out = []
-    for part in raw.split(","):
+    for part in args.policy.split(","):
         token = part.strip().lower()
         if not token:
             continue
         if token == "itb":
-            out.append(("ITB", "itb", default_window))
+            out.append(("ITB", replace(base, policy="itb")))
         elif token == "avg":
-            out.append((f"AVG-{default_window}", "avg", default_window))
+            out.append((f"AVG-{base.window_n}", base))
         elif token.startswith("avg:"):
             try:
                 window = int(token.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad policy spec {part!r}: window must be an integer")
-            out.append((f"AVG-{window}", "avg", window))
+            out.append((f"AVG-{window}", replace(base, window_n=window)))
         else:
             raise ValueError(f"unknown policy {part!r} (expected itb, avg, or avg:N)")
     if not out:
         raise ValueError("no policies given")
     return out
-
-
-def _client_config(args, policy_id: str, window: int) -> model.ClientConfig:
-    return model.ClientConfig(
-        beta_min=args.beta_min,
-        beta_max=args.beta_max,
-        window_n=window,
-        delta=args.delta,
-        theta=args.theta,
-        rtt=args.rtt,
-        start_version=args.start_version,
-        policy=policy_id,
-        uptrend_gate=args.uptrend_gate,
-    )
 
 
 def _warmup_count(arg: str, log: engine.SessionLog) -> int:
@@ -75,16 +72,30 @@ def _warmup_count(arg: str, log: engine.SessionLog) -> int:
         raise ValueError(f"--warmup must be an integer or 'auto', got {arg!r}") from None
 
 
+def _save_stats(stats: metrics.SessionStats, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(stats._asdict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_run(args) -> int:
     manifest = model.load_manifest(args.manifest)
     trace = model.load_trace(args.bandwidth)
-    specs = _parse_policy_specs(args.policy, args.window)
+    configs = _policy_configs(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the buffer never holds more than beta_max + one segment, nor more
+    # media than the session has; one point per second up to
+    # CDF_MAX_POINTS seconds, a wider whole-second step beyond, and the
+    # last point at or above the top
+    top = min(
+        args.beta_max + manifest.segment_duration,
+        manifest.num_segments * manifest.segment_duration,
+    )
+    step = max(1, math.ceil(top / CDF_MAX_POINTS))
+    grid = [float(g) for g in range(0, int(top) + step, step)]
 
     stats_by_label = {}
-    for label, policy_id, window in specs:
-        cfg = _client_config(args, policy_id, window)
+    for label, cfg in configs:
         try:
             log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
         except ValueError as exc:
@@ -93,30 +104,20 @@ def cmd_run(args) -> int:
         stats = metrics.compute_stats(log, warmup_exclude=warmup)
         stats_by_label[label] = stats
 
+        # made only now, so that a rejected run leaves nothing behind
+        out_dir.mkdir(parents=True, exist_ok=True)
         stem = label.lower()
         engine.save_logs(log, out_dir / f"{stem}.jsonl", out_dir / f"{stem}.csv")
-        with open(out_dir / f"{stem}.stats.json", "w") as fh:
-            json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_stats(stats, out_dir / f"{stem}.stats.json")
         with open(out_dir / f"{stem}.stats.txt", "w") as fh:
             fh.write(metrics.stats_table({label: stats}))
-        # the buffer never holds more than beta_max + one segment, nor more
-        # media than the session has; one point per second up to
-        # CDF_MAX_POINTS seconds, a wider whole-second step beyond, and the
-        # last point at or above the top
-        top = min(
-            args.beta_max + manifest.segment_duration,
-            manifest.num_segments * manifest.segment_duration,
-        )
-        step = max(1, math.ceil(top / CDF_MAX_POINTS))
-        grid = [float(g) for g in range(0, int(top) + step, step)]
         with open(out_dir / f"{stem}.cdf.csv", "w") as fh:
             fh.write("level_s,fraction\n")
             for level, frac in metrics.buffer_cdf(log, grid):
                 fh.write(f"{level},{frac}\n")
 
     table = metrics.stats_table(stats_by_label)
-    if len(specs) > 1:
+    if len(configs) > 1:
         with open(out_dir / "comparison.txt", "w") as fh:
             fh.write(table)
     sys.stdout.write(table)
@@ -149,9 +150,7 @@ def cmd_stats(args) -> int:
     warmup = _warmup_count(args.warmup, log)
     stats = metrics.compute_stats(log, warmup_exclude=warmup)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _save_stats(stats, args.out)
     sys.stdout.write(metrics.stats_table({args.log: stats}))
     return EXIT_OK
 
@@ -166,10 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--policy",
         default="avg",
-        help="comma-separated policies: itb, avg, avg:N (default avg)",
+        help="comma-separated policies: itb, avg (AVG-30), avg:N (default avg)",
     )
     cfg = model.ClientConfig()
-    run.add_argument("--window", type=int, default=cfg.window_n, help="moving-average length N")
     run.add_argument("--beta-min", type=float, default=cfg.beta_min, dest="beta_min")
     run.add_argument("--beta-max", type=float, default=cfg.beta_max, dest="beta_max")
     run.add_argument("--delta", type=float, default=cfg.delta, help="throughput smoothing weight")

@@ -106,8 +106,6 @@ def run_session(
 
     clock = 0.0
     buffer = 0.0
-    playing = False
-    playback_start = 0.0
     version = cfg.start_version
     records = []
 
@@ -128,15 +126,13 @@ def run_session(
             )
 
         buffer_before = buffer
-        if playing:
+        # playback runs from the first completion on
+        if index:
             stall = max(0.0, elapsed - buffer)
             buffer = max(buffer - elapsed, 0.0)
         else:
             stall = 0.0
         buffer += duration
-        if not playing:
-            playing = True
-            playback_start = completion
 
         t_instant = size / elapsed
         est.ingest_segment(index, version, size / duration)
@@ -161,7 +157,7 @@ def run_session(
         trace_label=trace_label,
         segment_duration=duration,
         num_versions=num_versions,
-        playback_start=playback_start,
+        playback_start=records[0].completion_time,
     )
 
 
@@ -216,8 +212,9 @@ _INTEGER = (frozenset({int}), None, "an integer")
 _NUMBER = (frozenset({int, float}), _finite, "a finite number")
 _POSITIVE = (frozenset({int, float}), lambda v: _finite(v) and min(v) > 0, "a finite number > 0")
 _COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
+_CASE = (frozenset({str}), _CASES.issuperset, f"one of {sorted(_CASES)}")
 _COLUMN_RULES = tuple(
-    {"index": _INTEGER, "version": _INTEGER, "case": _STRING}.get(column, _NUMBER)
+    {"index": _INTEGER, "version": _INTEGER, "case": _CASE}.get(column, _NUMBER)
     for column in _COLUMNS
 )
 # (header key, SessionLog field, rule); the header also holds "config"
@@ -324,16 +321,6 @@ def _value_error(path, lineno: int, name: str, value, rule) -> ValueError:
     return ValueError(f"{path}: line {lineno}: field {name!r} must be {rule[2]}, got {value!r}")
 
 
-def _nonblank_lines(fh):
-    return ((n, line) for n, line in enumerate(fh, 1) if line.strip())
-
-
-def _record_lineno(path, i: int) -> int:
-    """Line number of record ``i``: the header is the first non-blank line."""
-    with open(path) as fh:
-        return next(itertools.islice(_nonblank_lines(fh), i + 1, None))[0]
-
-
 def _json_line(path, lineno: int, line: str):
     try:
         return json.loads(line)
@@ -364,7 +351,8 @@ def load_log_jsonl(path) -> SessionLog:
     records = []
     make_record = SegmentRecord._make
     with open(path) as fh:
-        lines = _nonblank_lines(fh)
+        # the header is line 1 and record i is line i + 2
+        lines = enumerate(fh, 1)
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty log file")
@@ -373,7 +361,7 @@ def load_log_jsonl(path) -> SessionLog:
         _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
         for key, _, rule in _HEADER_FIELDS:
             if not _valid((header[key],), rule):
-                raise _value_error(path, first[0], key, header[key], rule)
+                raise _value_error(path, 1, key, header[key], rule)
         try:
             config = ClientConfig(**header["config"])
         except (TypeError, ValueError) as exc:
@@ -388,7 +376,7 @@ def load_log_jsonl(path) -> SessionLog:
     for name, rule, column in zip(_COLUMNS, _COLUMN_RULES, zip(*records)):
         if not _valid(column, rule):
             i = next(i for i, value in enumerate(column) if not _valid((value,), rule))
-            raise _value_error(path, _record_lineno(path, i), name, column[i], rule)
+            raise _value_error(path, i + 2, name, column[i], rule)
     return SessionLog(
         records=tuple(records),
         config=config,

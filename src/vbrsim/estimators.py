@@ -51,7 +51,8 @@ class EstimatorState:
         self.theta = cfg.theta
         self.delta = cfg.delta
         self.segments_seen = 0
-        self._smoothed = None
+        # throughput estimate for the next segment, or None before any sample
+        self.smoothed_throughput = None
         self._windows = [deque(maxlen=cfg.window_n) for _ in self.qps]
         # per received version, the QP model's factor onto every version:
         # theta * b * gain is the projection, bit for bit
@@ -63,11 +64,6 @@ class EstimatorState:
         self.latest_bitrates = ()
 
     @property
-    def smoothed_throughput(self):
-        """Throughput estimate for the next segment, or None before any sample."""
-        return self._smoothed
-
-    @property
     def rep_bitrates(self) -> tuple:
         """Representative bitrate per version (index 0 = version 1)."""
         return tuple(sum(w) / len(w) for w in self._windows)
@@ -76,12 +72,14 @@ class EstimatorState:
         """Fold one instant throughput sample into the smoothed estimate."""
         if t_instant <= 0:
             raise ValueError(f"throughput must be > 0, got {t_instant}")
-        if self._smoothed is None:
-            self._smoothed = t_instant
+        smoothed = self.smoothed_throughput
+        if smoothed is None:
+            smoothed = t_instant
         else:
             delta = self.delta
-            self._smoothed = (1.0 - delta) * self._smoothed + delta * t_instant
-        return self._smoothed
+            smoothed = (1.0 - delta) * smoothed + delta * t_instant
+        self.smoothed_throughput = smoothed
+        return smoothed
 
     def ingest_segment(self, index: int, received_version: int, b_actual: float) -> None:
         """Record segment ``index`` received at ``received_version``.

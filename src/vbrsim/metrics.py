@@ -9,14 +9,13 @@ completion (buffer_after), not a time-weighted integral.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from statistics import fmean, pstdev
+from typing import NamedTuple
 
 from .engine import SessionLog
 
 
-@dataclass(frozen=True)
-class SessionStats:
+class SessionStats(NamedTuple):
     average_bitrate: float
     average_version: float
     max_version: int
@@ -27,9 +26,6 @@ class SessionStats:
     min_buffer: float
     std_buffer: float
     total_stall: float
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:

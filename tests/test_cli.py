@@ -351,6 +351,9 @@ def _rename_version_column(records):
             lambda h, r: h["config"].update(theta="0.9"), "header config: theta",
             id="string-theta",
         ),
+        pytest.param(
+            lambda h, r: r[7].update(case="bogus"), "line 9: field 'case'", id="unknown-case"
+        ),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
@@ -427,6 +430,9 @@ def _set_trace_row(row):
         pytest.param("args", ["--rtt", "inf"], "rtt", id="inf-rtt"),
         pytest.param("args", ["--rtt", "nan"], "rtt", id="nan-rtt"),
         pytest.param("args", ["--beta-max", "inf"], "beta_max", id="inf-beta-max"),
+        pytest.param("args", ["--start-version", "7"], "start_version", id="start-version-7"),
+        pytest.param("args", ["--policy", "avg:0"], "window_n", id="avg-window-0"),
+        pytest.param("args", ["--warmup", "400"], "warmup_exclude", id="warmup-400"),
     ],
 )
 def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
@@ -458,6 +464,7 @@ def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
     assert field in proc.stderr
     if bad is not None:
         assert str(bad) in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 _NESTED = "[" * 100_000 + "]" * 100_000

@@ -480,6 +480,14 @@ class TestLogSerialization:
         with pytest.raises(ValueError, match=f"line {m}: malformed log"):
             load_log_jsonl(path)
 
+    def test_blank_line_is_malformed_and_named(self, tmp_path):
+        path, lines = self._long_log_lines(tmp_path)
+        n = 2 + _BLOCK + 5
+        lines.insert(n - 1, "\n")
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line {n}: malformed log"):
+            load_log_jsonl(path)
+
     def test_bad_value_past_first_block_named(self, tmp_path):
         path, lines = self._long_log_lines(tmp_path)
         n = 2 + 2 * _BLOCK + 7
