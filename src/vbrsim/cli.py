@@ -26,11 +26,11 @@ EXIT_IO = 3
 CDF_MAX_POINTS = 1000
 
 
-def _policy_configs(args) -> list:
-    """The (label, ClientConfig) pair of each policy in ``--policy``.
+def _policy_configs(args) -> dict:
+    """The ClientConfig of each policy in ``--policy``, keyed by its label.
 
     ``--policy`` is a comma-separated list of "itb", "avg" (AVG-30) and
-    "avg:N"; every other parameter comes from the options.
+    "avg:N", each at most once; every other parameter comes from the options.
     """
     base = model.ClientConfig(
         beta_min=args.beta_min,
@@ -41,23 +41,26 @@ def _policy_configs(args) -> list:
         start_version=args.start_version,
         uptrend_gate=args.uptrend_gate,
     )
-    out = []
+    out = {}
     for part in args.policy.split(","):
         token = part.strip().lower()
         if not token:
             continue
         if token == "itb":
-            out.append(("ITB", replace(base, policy="itb")))
+            label, cfg = "ITB", replace(base, policy="itb")
         elif token == "avg":
-            out.append((f"AVG-{base.window_n}", base))
+            label, cfg = f"AVG-{base.window_n}", base
         elif token.startswith("avg:"):
             try:
                 window = int(token.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad policy spec {part!r}: window must be an integer")
-            out.append((f"AVG-{window}", replace(base, window_n=window)))
+            label, cfg = f"AVG-{window}", replace(base, window_n=window)
         else:
             raise ValueError(f"unknown policy {part!r} (expected itb, avg, or avg:N)")
+        if label in out:
+            raise ValueError(f"policy {label} is given more than once in --policy")
+        out[label] = cfg
     if not out:
         raise ValueError("no policies given")
     return out
@@ -95,7 +98,7 @@ def cmd_run(args) -> int:
     grid = [float(g) for g in range(0, int(top) + step, step)]
 
     stats_by_label = {}
-    for label, cfg in configs:
+    for label, cfg in configs.items():
         try:
             log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
         except ValueError as exc:

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -165,33 +165,32 @@ def run_session(
 # Serialization: JSON lines (header line, then one record per line) and CSV.
 # ---------------------------------------------------------------------------
 
-# (column name, SegmentRecord field), in field order: a record is a tuple in
+# The log's column names, in SegmentRecord field order: a record is a tuple in
 # column order, which both writers and load_log_jsonl rely on
 LOG_COLUMNS = (
-    ("index", "index"),
-    ("version", "version_requested"),
-    ("size_bits", "size_bits"),
-    ("request_time_s", "request_time"),
-    ("completion_time_s", "completion_time"),
-    ("throughput_bps", "instant_throughput"),
-    ("buffer_before_s", "buffer_before"),
-    ("buffer_after_s", "buffer_after"),
-    ("case", "case_label"),
-    ("stall_s", "stall_time"),
+    "index",
+    "version",
+    "size_bits",
+    "request_time_s",
+    "completion_time_s",
+    "throughput_bps",
+    "buffer_before_s",
+    "buffer_after_s",
+    "case",
+    "stall_s",
 )
-_COLUMNS = tuple(column for column, _ in LOG_COLUMNS)
-_COLUMN_SET = frozenset(_COLUMNS)
-_column_values = itemgetter(*_COLUMNS)
+_COLUMN_SET = frozenset(LOG_COLUMNS)
+_column_values = itemgetter(*LOG_COLUMNS)
 # One JSONL record line, filled with value text. json.dumps writes an int or a
 # finite float as its repr, and a str through encode_basestring_ascii, so the
-# line has the same bytes as json.dumps(dict(zip(_COLUMNS, record))) for a
+# line has the same bytes as json.dumps(dict(zip(LOG_COLUMNS, record))) for a
 # valid record.
-_RECORD_LINE = "{%s}\n" % ", ".join(f"{json.dumps(column)}: %s" for column in _COLUMNS)
-_CSV_HEADER = ",".join(_COLUMNS) + "\r\n"
+_RECORD_LINE = "{%s}\n" % ", ".join(f"{json.dumps(column)}: %s" for column in LOG_COLUMNS)
+_CSV_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
 # The policies' case labels. None holds a comma, a quote or a line break, so
 # the CSV log is written unquoted, byte for byte as csv.writer would write it.
 _CASES = frozenset(policies.AVG_CASES + (policies.CASE_ITB,))
-_case_label = itemgetter(_COLUMNS.index("case"))
+_case_label = itemgetter(LOG_COLUMNS.index("case"))
 # Records formatted and written, or log lines parsed, at a time. A block's
 # text and parsed objects take a few tens of kB, so peak memory does not grow
 # with the log; larger blocks were no faster and raised peak memory.
@@ -215,7 +214,7 @@ _COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
 _CASE = (frozenset({str}), _CASES.issuperset, f"one of {sorted(_CASES)}")
 _COLUMN_RULES = tuple(
     {"index": _INTEGER, "version": _INTEGER, "case": _CASE}.get(column, _NUMBER)
-    for column in _COLUMNS
+    for column in LOG_COLUMNS
 )
 # (header key, SessionLog field, rule); the header also holds "config"
 _HEADER_FIELDS = (
@@ -259,7 +258,7 @@ def _csv_lines(block) -> str:
 
 def _jsonl_header(log: SessionLog) -> str:
     header = {key: getattr(log, field) for key, field, _ in _HEADER_FIELDS}
-    header["config"] = log.config.as_dict()
+    header["config"] = asdict(log.config)
     return json.dumps(header, sort_keys=True) + "\n"
 
 
@@ -270,10 +269,6 @@ def _check_cases(records) -> None:
             f"case label {min(unknown)!r} is not one of {sorted(_CASES)}, "
             f"so it cannot be written to an unquoted CSV log"
         )
-
-
-def log_to_jsonl(log: SessionLog) -> str:
-    return _jsonl_header(log) + "".join(map(_jsonl_lines, _value_text(log.records)))
 
 
 def save_log_jsonl(log: SessionLog, path) -> None:
@@ -370,10 +365,10 @@ def load_log_jsonl(path) -> SessionLog:
             rows = _block_values(path, block)
             for (lineno, _), row in zip(block, rows):
                 if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                    _check_keys(row, _COLUMNS, f"{path}: line {lineno}")
+                    _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
             records.extend(map(make_record, map(_column_values, rows)))
     # whole columns at a time, which is far cheaper than a check per value
-    for name, rule, column in zip(_COLUMNS, _COLUMN_RULES, zip(*records)):
+    for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, zip(*records)):
         if not _valid(column, rule):
             i = next(i for i, value in enumerate(column) if not _valid((value,), rule))
             raise _value_error(path, i + 2, name, column[i], rule)

@@ -46,19 +46,18 @@ class EstimatorState:
     def __init__(self, qps, cfg: ClientConfig):
         if not qps or not all(type(qp) is int and QP_MIN <= qp <= QP_MAX for qp in qps):
             raise ValueError(f"qps must be one int in {QP_MIN}..{QP_MAX} per version, got {qps!r}")
-        self.qps = tuple(qps)
-        self.num_versions = len(self.qps)
+        self.num_versions = len(qps)
         self.theta = cfg.theta
         self.delta = cfg.delta
         self.segments_seen = 0
         # throughput estimate for the next segment, or None before any sample
         self.smoothed_throughput = None
-        self._windows = [deque(maxlen=cfg.window_n) for _ in self.qps]
+        self._windows = [deque(maxlen=cfg.window_n) for _ in qps]
         # per received version, the QP model's factor onto every version:
         # theta * b * gain is the projection, bit for bit
         self._gains = [
-            tuple(estimate_cross_version_bitrate(1.0, qp_from, qp, 1.0) for qp in self.qps)
-            for qp_from in self.qps
+            tuple(estimate_cross_version_bitrate(1.0, qp_from, qp, 1.0) for qp in qps)
+            for qp_from in qps
         ]
         # per-version bitrate of the most recent segment (actual or projected)
         self.latest_bitrates = ()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -117,11 +116,6 @@ class VideoManifest:
         return self.versions[version - 1].segment_sizes[index]
 
 
-def segment_bitrate(manifest: VideoManifest, version: int, index: int) -> float:
-    """Per-segment bitrate in bits/second: size divided by segment duration."""
-    return manifest.segment_size(version, index) / manifest.segment_duration
-
-
 @dataclass(frozen=True)
 class BandwidthTrace:
     """Piecewise-constant available bandwidth.
@@ -153,14 +147,6 @@ class BandwidthTrace:
     def starts(self) -> tuple:
         """Breakpoint start times, built on first read and kept for lookups."""
         return tuple(t for t, _ in self.breakpoints)
-
-
-def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
-    """Bandwidth in effect at time ``t`` (right-continuous lookup)."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    idx = bisect_right(trace.starts, t) - 1
-    return trace.breakpoints[idx][1]
 
 
 _POLICIES = ("avg", "itb")
@@ -223,9 +209,6 @@ class ClientConfig:
             raise ValueError(
                 f"unknown uptrend_gate {self.uptrend_gate!r}, expected one of {UPTREND_GATES}"
             )
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ClientView(NamedTuple):

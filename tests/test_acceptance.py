@@ -8,10 +8,12 @@ is also runnable directly: ``python tests/test_acceptance.py``.
 import math
 import random
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from tests_support import synthetic_log
-from vbrsim.engine import log_to_jsonl, run_session
+from vbrsim.engine import run_session, save_logs
 from vbrsim.estimators import EstimatorState, estimate_cross_version_bitrate
 from vbrsim.metrics import compute_stats, warmup_segments
 from vbrsim.model import ClientConfig
@@ -172,7 +174,13 @@ def test_criterion_6_structural_invariants():
             assert all(rec.case_label == "itb" for rec in log.records)
 
         rerun = run_session(manifest, trace, cfg, trace_label=f"combo-{combo}")
-        assert log_to_jsonl(rerun) == log_to_jsonl(log), f"combo {combo} not deterministic"
+        with tempfile.TemporaryDirectory() as tmp:
+            written = []
+            for n, session in enumerate((log, rerun)):
+                paths = (Path(tmp) / f"{n}.jsonl", Path(tmp) / f"{n}.csv")
+                save_logs(session, *paths)
+                written.append([path.read_bytes() for path in paths])
+        assert written[0] == written[1], f"combo {combo} not deterministic"
     _report(6, "structural invariants over 100 seeded runs", started, 60.0)
 
 

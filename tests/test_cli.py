@@ -433,6 +433,8 @@ def _set_trace_row(row):
         pytest.param("args", ["--start-version", "7"], "start_version", id="start-version-7"),
         pytest.param("args", ["--policy", "avg:0"], "window_n", id="avg-window-0"),
         pytest.param("args", ["--warmup", "400"], "warmup_exclude", id="warmup-400"),
+        pytest.param("args", ["--policy", "avg:30,avg"], "AVG-30", id="repeated-avg"),
+        pytest.param("args", ["--policy", "itb, ITB"], "ITB", id="repeated-itb"),
     ],
 )
 def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):

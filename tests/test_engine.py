@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -15,7 +15,6 @@ from vbrsim.engine import (
     SegmentRecord,
     download_time,
     load_log_jsonl,
-    log_to_jsonl,
     run_session,
     save_log_csv,
     save_log_jsonl,
@@ -180,12 +179,14 @@ class TestRunSessionSteadyState:
                 assert 0.0 <= r.buffer_after <= cfg.beta_max + m.segment_duration + 1e-9
                 assert r.buffer_before >= 0.0
 
-    def test_determinism_byte_identical(self):
+    def test_determinism_byte_identical(self, tmp_path):
         m = gen_vbr_ladder(ladder_preset("sony-like", segment_count=80))
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 60, 40, 200)
-        a = log_to_jsonl(run_session(m, trace, ClientConfig(), trace_label="t"))
-        b = log_to_jsonl(run_session(m, trace, ClientConfig(), trace_label="t"))
-        assert a == b
+        for run in ("a", "b"):
+            log = run_session(m, trace, ClientConfig(), trace_label="t")
+            save_logs(log, tmp_path / f"{run}.jsonl", tmp_path / f"{run}.csv")
+        for ext in ("jsonl", "csv"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
     def test_playback_starts_at_first_completion(self):
         m = cbr_manifest()
@@ -262,6 +263,21 @@ class TestInformationBarrier:
         assert wrapped.accessed == requested
 
 
+def _dumps_jsonl(log):
+    """The JSONL log built with json.dumps, as it was written before the record template."""
+    header = {
+        "manifest_title": log.manifest_title,
+        "trace_label": log.trace_label,
+        "segment_duration_s": log.segment_duration,
+        "num_versions": log.num_versions,
+        "playback_start_s": log.playback_start,
+        "config": asdict(log.config),
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(dict(zip(LOG_COLUMNS, rec))) for rec in log.records]
+    return "\n".join(lines) + "\n"
+
+
 class TestLogSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         m = cbr_manifest(segments=20)
@@ -293,17 +309,32 @@ class TestLogSerialization:
         lines = (tmp_path / "log.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         records = [json.loads(line) for line in lines[1:]]
-        names = [column for column, _ in LOG_COLUMNS]
-        assert [field for _, field in LOG_COLUMNS] == list(SegmentRecord._fields)
+        names = list(LOG_COLUMNS)
+        # the SegmentRecord field each column holds, in column order
+        field_of = {
+            "index": "index",
+            "version": "version_requested",
+            "size_bits": "size_bits",
+            "request_time_s": "request_time",
+            "completion_time_s": "completion_time",
+            "throughput_bps": "instant_throughput",
+            "buffer_before_s": "buffer_before",
+            "buffer_after_s": "buffer_after",
+            "case": "case_label",
+            "stall_s": "stall_time",
+        }
+        assert list(field_of) == names
+        assert list(field_of.values()) == list(SegmentRecord._fields)
         assert "total_stall_s" not in header
         assert len(rows) == len(records) == 12
         assert any(rec["stall_s"] > 0 for rec in records)
-        for row, rec in zip(rows, records):
+        for row, rec, record in zip(rows, records, log.records):
             assert list(row) == names
             assert list(rec) == names
             assert row == {name: str(value) for name, value in rec.items()}
+            assert {field_of[name]: value for name, value in rec.items()} == record._asdict()
 
-    def test_record_lines_match_json_dumps(self):
+    def test_record_lines_match_json_dumps(self, tmp_path):
         rng = random.Random(11)
         numbers = (
             lambda: rng.randint(-10**6, 10**6),
@@ -329,27 +360,14 @@ class TestLogSerialization:
             for _ in range(2000)
         )
         log = replace(synthetic_log([1, 2]), records=records)
-        names = [column for column, _ in LOG_COLUMNS]
-        lines = log_to_jsonl(log).split("\n")
+        # most of these labels cannot go in an unquoted CSV log, so save_logs refuses them
+        save_log_jsonl(log, tmp_path / "log.jsonl")
+        lines = (tmp_path / "log.jsonl").read_text().split("\n")
         assert lines[-1] == "" and len(lines) == len(records) + 2
         for line, rec in zip(lines[1:], records):
-            assert line == json.dumps(dict(zip(names, rec)))
+            assert line == json.dumps(dict(zip(LOG_COLUMNS, rec)))
 
-    def test_log_to_jsonl_matches_json_dumps_on_sessions(self):
-        def dumps_jsonl(log):  # how the log was written before the record template
-            header = {
-                "manifest_title": log.manifest_title,
-                "trace_label": log.trace_label,
-                "segment_duration_s": log.segment_duration,
-                "num_versions": log.num_versions,
-                "playback_start_s": log.playback_start,
-                "config": log.config.as_dict(),
-            }
-            names = [column for column, _ in LOG_COLUMNS]
-            lines = [json.dumps(header, sort_keys=True)]
-            lines += [json.dumps(dict(zip(names, rec))) for rec in log.records]
-            return "\n".join(lines) + "\n"
-
+    def test_jsonl_log_matches_json_dumps_on_sessions(self, tmp_path):
         vbr = gen_vbr_ladder(ladder_preset("sony-like"))
         rect = gen_rect_bandwidth(2.5e6, 0.5e6, 120, 60, 600)
         drop = BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))
@@ -361,7 +379,8 @@ class TestLogSerialization:
         assert sessions[-1].total_stall > 0
         assert {"itb", "stable"} <= {r.case_label for log in sessions for r in log.records}
         for log in sessions:
-            assert log_to_jsonl(log) == dumps_jsonl(log)
+            save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
+            assert (tmp_path / "log.jsonl").read_text() == _dumps_jsonl(log)
 
     def test_save_logs_matches_one_file_writers(self, tmp_path):
         vbr = gen_vbr_ladder(ladder_preset("sony-like"))
@@ -373,7 +392,6 @@ class TestLogSerialization:
             run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
         ]
         assert sessions[-1].total_stall > 0
-        names = [column for column, _ in LOG_COLUMNS]
         for n, log in enumerate(sessions):
             jsonl, csv_path = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
             save_logs(log, jsonl, csv_path)
@@ -381,13 +399,13 @@ class TestLogSerialization:
             save_log_csv(log, tmp_path / "one.csv")
             with open(tmp_path / "oracle.csv", "w", newline="") as fh:  # the old CSV writer
                 writer = csv.writer(fh)
-                writer.writerow(names)
+                writer.writerow(LOG_COLUMNS)
                 writer.writerows(log.records)
             oracle = (tmp_path / "oracle.csv").read_bytes()
             assert oracle.count(b"\r\n") == len(log.records) + 1
             assert csv_path.read_bytes() == (tmp_path / "one.csv").read_bytes() == oracle
             assert jsonl.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
-            assert jsonl.read_text() == log_to_jsonl(log)
+            assert jsonl.read_text() == _dumps_jsonl(log)
 
     def test_save_logs_writes_recorded_bytes(self, tmp_path):
         # sha256 of (.jsonl, .csv) for sessions the README quick start does not
@@ -443,7 +461,8 @@ class TestLogSerialization:
             save_logs(odd, tmp_path / "log.jsonl", tmp_path / "log.csv")
         with pytest.raises(ValueError, match="'odd,\"label\"'"):
             save_log_csv(odd, tmp_path / "log.csv")
-        assert '"case": "odd,\\"label\\""' in log_to_jsonl(odd)
+        save_log_jsonl(odd, tmp_path / "odd.jsonl")
+        assert '"case": "odd,\\"label\\""' in (tmp_path / "odd.jsonl").read_text()
 
     def _long_log_lines(self, tmp_path):
         """A written log of more than two parse blocks, as a list of lines."""

@@ -3,18 +3,17 @@ import random
 
 import pytest
 
+from vbrsim.engine import download_time
 from vbrsim.model import (
     BandwidthTrace,
     ClientConfig,
     VersionInfo,
     VideoManifest,
-    bandwidth_at,
     load_manifest,
     load_trace,
     manifest_from_dict,
     save_manifest,
     save_trace,
-    segment_bitrate,
 )
 
 
@@ -32,12 +31,12 @@ def make_manifest(sizes_by_version=None, duration=2.0):
 class TestSegmentBitrate:
     def test_direct_division(self):
         m = make_manifest()
-        assert segment_bitrate(m, 2, 0) == 2_000_000.0
+        assert m.segment_size(2, 0) / m.segment_duration == 2_000_000.0
 
     def test_low_version_average_scale(self):
         # 407,540 bits over 2 s lands on the ~204 kbps ladder rung
         m = make_manifest()
-        assert segment_bitrate(m, 1, 1) == pytest.approx(203_770.0)
+        assert m.segment_size(1, 1) / m.segment_duration == pytest.approx(203_770.0)
 
     def test_zero_size_rejected_at_construction(self):
         for bad in (0, math.nan, math.inf, -math.inf, "100", None):
@@ -47,11 +46,11 @@ class TestSegmentBitrate:
     def test_out_of_range(self):
         m = make_manifest()
         with pytest.raises(ValueError):
-            segment_bitrate(m, 3, 0)
+            m.segment_size(3, 0)
         with pytest.raises(ValueError):
-            segment_bitrate(m, 0, 0)
+            m.segment_size(0, 0)
         with pytest.raises(ValueError):
-            segment_bitrate(m, 1, 2)
+            m.segment_size(1, 2)
 
 
 class TestManifestInvariants:
@@ -89,20 +88,23 @@ class TestManifestInvariants:
 
 
 class TestBandwidthAt:
+    # With no RTT, half a second's worth of bits at bandwidth bw takes exactly
+    # 0.5 s when the download starts and ends in a piece of bandwidth bw: this
+    # checks download_time's right-continuous piece lookup.
     trace = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
 
     def test_first_piece(self):
-        assert bandwidth_at(self.trace, 50) == 2.5e6
+        assert download_time(self.trace, 50, 2.5e6 * 0.5, 0.0) == 0.5
 
     def test_boundary_belongs_to_new_piece(self):
-        assert bandwidth_at(self.trace, 100) == 0.5e6
+        assert download_time(self.trace, 100, 0.5e6, 0.0) == 1.0
 
     def test_last_piece_extends_forever(self):
-        assert bandwidth_at(self.trace, 250) == 0.5e6
+        assert download_time(self.trace, 250, 0.5e6 * 0.5, 0.0) == 0.5
 
     def test_negative_time(self):
         with pytest.raises(ValueError):
-            bandwidth_at(self.trace, -1)
+            download_time(self.trace, -1, 0.5e6, 0.0)
 
     def test_starts_built_once_and_not_part_of_the_value(self):
         trace = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
@@ -118,7 +120,7 @@ class TestBandwidthAt:
             tuple([(0.0, 1e6)] + [(float(s), rng.uniform(1e5, 1e7)) for s in starts])
         )
         for t, bw in trace.breakpoints:
-            assert bandwidth_at(trace, t) == bw
+            assert download_time(trace, t, bw * 0.5, 0.0) == 0.5
 
     def test_invalid_traces(self):
         with pytest.raises(ValueError):

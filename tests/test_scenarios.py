@@ -3,7 +3,8 @@ import hashlib
 import pytest
 
 from vbrsim import scenarios
-from vbrsim.model import bandwidth_at, save_manifest
+from vbrsim.engine import download_time
+from vbrsim.model import save_manifest
 from vbrsim.scenarios import (
     BURST_PERIOD,
     LADDER_PRESETS,
@@ -40,12 +41,12 @@ class TestRectBandwidth:
     def test_low_period_covering_rest(self):
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 100, 400, 400)
         assert trace.breakpoints == ((0.0, 2.5e6), (100.0, 0.5e6))
-        assert bandwidth_at(trace, 10_000) == 0.5e6
+        assert download_time(trace, 10_000, 0.5e6 * 0.5, 0.0) == 0.5
 
     def test_equal_levels_is_constant(self):
         trace = gen_rect_bandwidth(1e6, 1e6, 50, 50, 200)
         for t in (0, 49, 50, 120, 500):
-            assert bandwidth_at(trace, t) == 1e6
+            assert download_time(trace, t, 1e6 * 0.5, 0.0) == 0.5
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
