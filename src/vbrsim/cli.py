@@ -95,7 +95,7 @@ def cmd_run(args) -> int:
         manifest.num_segments * manifest.segment_duration,
     )
     step = max(1, math.ceil(top / CDF_MAX_POINTS))
-    grid = [float(g) for g in range(0, int(top) + step, step)]
+    grid = [float(g) for g in range(0, math.ceil(top) + step, step)]
 
     stats_by_label = {}
     for label, cfg in configs.items():

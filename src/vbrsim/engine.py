@@ -57,10 +57,6 @@ class SessionLog:
     num_versions: int
     playback_start: float
 
-    @property
-    def total_stall(self) -> float:
-        return sum(r.stall_time for r in self.records)
-
 
 def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float = 0.0) -> float:
     """Wall-clock time to fetch ``size`` bits starting at ``start``.
@@ -367,6 +363,8 @@ def load_log_jsonl(path) -> SessionLog:
                 if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
                     _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
             records.extend(map(make_record, map(_column_values, rows)))
+    if not records:  # run never writes one: the file was cut short
+        raise ValueError(f"{path}: log has no records")
     # whole columns at a time, which is far cheaper than a check per value
     for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, zip(*records)):
         if not _valid(column, rule):

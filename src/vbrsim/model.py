@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -24,88 +25,77 @@ class StateError(RuntimeError):
 # The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
 # projection, 2 ** (QP gap / 6), finite.
 QP_MIN, QP_MAX = 0, 63
-
-
-@dataclass(frozen=True)
-class VersionInfo:
-    """One encoded version of the video.
-
-    Higher ``index`` means higher quality (and therefore lower ``qp``).
-    ``segment_sizes`` holds one size in bits per segment.
-    """
-
-    index: int
-    qp: int
-    segment_sizes: tuple
-
-    def __post_init__(self):
-        # exact type checks: JSON true/false are bools, and bool is an int
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError(f"version index must be an int >= 1, got {self.index!r}")
-        if not (type(self.qp) is int and QP_MIN <= self.qp <= QP_MAX):
-            raise ValueError(
-                f"version {self.index}: qp must be an int in {QP_MIN}..{QP_MAX}, got {self.qp!r}"
-            )
-        if not isinstance(self.segment_sizes, (list, tuple)):
-            raise ValueError(
-                f"version {self.index}: segment_sizes must be a list, "
-                f"got {type(self.segment_sizes).__name__}"
-            )
-        object.__setattr__(self, "segment_sizes", tuple(self.segment_sizes))
-        if not self.segment_sizes:
-            raise ValueError(f"version {self.index} has no segments")
-        for i, size in enumerate(self.segment_sizes):
-            if not (type(size) in (int, float) and 0 < size < math.inf):
-                raise ValueError(
-                    f"version {self.index} segment {i}: "
-                    f"size must be a finite number > 0, got {size!r}"
-                )
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class VideoManifest:
-    """The full version ladder plus segment timing for one video."""
+    """The full version ladder plus segment timing for one video.
+
+    Version k (1-based) is encoded at QP ``qps[k - 1]`` and has one size in
+    bits per segment in ``segment_sizes[k - 1]``. A higher version means
+    higher quality and therefore a lower QP.
+    """
 
     title: str
     segment_duration: float
-    versions: tuple
+    qps: tuple
+    segment_sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "versions", tuple(self.versions))
+        # exact type checks: JSON true/false are bools, and bool is an int;
+        # a number above the largest float is rejected too, since the
+        # session's float arithmetic would overflow on it
         if not isinstance(self.title, str):
             raise ValueError(f"title must be a string, got {self.title!r}")
         duration = self.segment_duration
-        if not (type(duration) in (int, float) and 0 < duration < math.inf):
+        if not (type(duration) in (int, float) and 0 < duration <= _FLOAT_MAX):
             raise ValueError(f"segment_duration must be a finite number > 0, got {duration!r}")
-        if len(self.versions) < 2:
+        qps = tuple(self.qps)
+        if len(qps) < 2:
             raise ValueError("manifest needs at least 2 versions")
-        for pos, v in enumerate(self.versions, start=1):
-            if v.index != pos:
+        if len(self.segment_sizes) != len(qps):
+            raise ValueError(
+                f"need one segment_sizes list per qp: {len(qps)} qps, "
+                f"{len(self.segment_sizes)} lists"
+            )
+        rows = []
+        for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
+            if not (type(qp) is int and QP_MIN <= qp <= QP_MAX):
                 raise ValueError(
-                    f"versions must be sorted with contiguous indices 1..V; "
-                    f"position {pos} has index {v.index}"
+                    f"version {k}: qp must be an int in {QP_MIN}..{QP_MAX}, got {qp!r}"
                 )
-        counts = {len(v.segment_sizes) for v in self.versions}
+            if not isinstance(sizes, (list, tuple)):
+                raise ValueError(
+                    f"version {k}: segment_sizes must be a list, got {type(sizes).__name__}"
+                )
+            if not sizes:
+                raise ValueError(f"version {k} has no segments")
+            for i, size in enumerate(sizes):
+                if not (type(size) in (int, float) and 0 < size <= _FLOAT_MAX):
+                    raise ValueError(
+                        f"version {k} segment {i}: size must be a finite number > 0, got {size!r}"
+                    )
+            rows.append(tuple(sizes))
+        counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
             raise ValueError(f"all versions must have the same segment count, got {counts}")
-        for lo, hi in zip(self.versions, self.versions[1:]):
-            if lo.qp <= hi.qp:
+        for k, (lo, hi) in enumerate(zip(qps, qps[1:]), start=1):
+            if lo <= hi:
                 raise ValueError(
                     f"qp must strictly decrease with version index "
-                    f"(version {lo.index} qp={lo.qp}, version {hi.index} qp={hi.qp})"
+                    f"(version {k} qp={lo}, version {k + 1} qp={hi})"
                 )
+        object.__setattr__(self, "qps", qps)
+        object.__setattr__(self, "segment_sizes", tuple(rows))
 
     @property
     def num_versions(self) -> int:
-        return len(self.versions)
+        return len(self.qps)
 
     @property
     def num_segments(self) -> int:
-        return len(self.versions[0].segment_sizes)
-
-    @property
-    def qps(self) -> tuple:
-        return tuple(v.qp for v in self.versions)
+        return len(self.segment_sizes[0])
 
     def segment_size(self, version: int, index: int):
         """Size in bits of segment ``index`` at ``version`` (1-based version)."""
@@ -113,7 +103,7 @@ class VideoManifest:
             raise ValueError(f"version {version} out of range 1..{self.num_versions}")
         if not 0 <= index < self.num_segments:
             raise ValueError(f"segment index {index} out of range 0..{self.num_segments - 1}")
-        return self.versions[version - 1].segment_sizes[index]
+        return self.segment_sizes[version - 1][index]
 
 
 @dataclass(frozen=True)
@@ -193,8 +183,9 @@ class ClientConfig:
             raise ValueError(
                 f"need finite 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
             )
-        if self.window_n < 1:
-            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
+        # the estimator's deque window takes at most sys.maxsize items
+        if not 1 <= self.window_n <= sys.maxsize:
+            raise ValueError(f"window_n must be in 1..{sys.maxsize}, got {self.window_n}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not 0 < self.theta < math.inf:
@@ -254,16 +245,24 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
     if not isinstance(raw_versions, list):
         raise ValueError(f"{where}: versions must be a list, got {type(raw_versions).__name__}")
     try:
-        versions = []
-        for i, v in enumerate(raw_versions):
-            at = f"versions[{i}]"
-            version = VersionInfo(
-                _require(v, "index", at), _require(v, "qp", at), _require(v, "segment_sizes", at)
-            )
-            if unit == "bytes":
-                version = replace(version, segment_sizes=[s * 8 for s in version.segment_sizes])
-            versions.append(version)
-        return VideoManifest(title=title, segment_duration=duration, versions=tuple(versions))
+        qps, sizes = [], []
+        for pos, v in enumerate(raw_versions, start=1):
+            at = f"versions[{pos - 1}]"
+            index = _require(v, "index", at)
+            # the index exists only in the file: it must be the position
+            if type(index) is not int or index != pos:
+                raise ValueError(
+                    f"versions must be sorted with contiguous indices 1..V; "
+                    f"position {pos} has index {index!r}"
+                )
+            qps.append(_require(v, "qp", at))
+            sizes.append(_require(v, "segment_sizes", at))
+        manifest = VideoManifest(title, duration, qps, sizes)
+        if unit == "bytes":
+            # only after validation, so that a JSON true never becomes 8
+            bits = [[s * 8 for s in row] for row in manifest.segment_sizes]
+            manifest = replace(manifest, segment_sizes=bits)
+        return manifest
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -284,8 +283,8 @@ def save_manifest(manifest: VideoManifest, path) -> None:
         "segment_duration_s": manifest.segment_duration,
         "size_unit": "bits",
         "versions": [
-            {"index": v.index, "qp": v.qp, "segment_sizes": list(v.segment_sizes)}
-            for v in manifest.versions
+            {"index": k, "qp": qp, "segment_sizes": list(sizes)}
+            for k, (qp, sizes) in enumerate(zip(manifest.qps, manifest.segment_sizes), start=1)
         ],
     }
     with open(path, "w") as fh:

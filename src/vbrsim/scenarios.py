@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .model import BandwidthTrace, VersionInfo, VideoManifest
+from .model import BandwidthTrace, VideoManifest
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -162,12 +162,5 @@ def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
             scale = target / (sum(row) / n)
             bitrates.append([b * scale for b in row])
 
-    versions = []
-    for k in range(spec.num_versions):
-        sizes = [max(1, round(b * spec.segment_duration)) for b in bitrates[k]]
-        versions.append(
-            VersionInfo(index=k + 1, qp=spec.qps[k], segment_sizes=tuple(sizes))
-        )
-    return VideoManifest(
-        title=title, segment_duration=spec.segment_duration, versions=tuple(versions)
-    )
+    sizes = [[max(1, round(b * spec.segment_duration)) for b in row] for row in bitrates]
+    return VideoManifest(title, spec.segment_duration, spec.qps, sizes)

@@ -91,7 +91,8 @@ def test_criterion_4_simple_scenario_behavior():
         stats = compute_stats(log, warmup_exclude=warmup_segments(log))
         assert stats.max_switch_degree == 1, f"AVG-{window_n} degree {stats.max_switch_degree}"
         assert stats.min_version >= 2, f"AVG-{window_n} min version {stats.min_version}"
-        assert log.total_stall == 0.0, f"AVG-{window_n} stalled {log.total_stall}s"
+        stall = sum(r.stall_time for r in log.records)
+        assert stall == 0.0, f"AVG-{window_n} stalled {stall}s"
         avg_buffer_stds.append(stats.std_buffer)
 
     itb_log = run_session(manifest, trace, ClientConfig(policy="itb"), trace_label="rect-2500-500")

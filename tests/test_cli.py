@@ -136,21 +136,23 @@ class TestRun:
         assert len((out / "avg-30.cdf.csv").read_text().splitlines()) <= 602
 
     def test_cdf_grid_step_widens_past_max_points(self, inputs, tmp_path):
-        # 100 000 s segments: one point per second would write 100 052 lines
+        # 100 000 s segments: one point per second would write 100 052 lines;
+        # 2.5 s segments: the buffer passes 52 s, below its 52.5 s bound
         manifest, trace = inputs
         data = json.loads(manifest.read_text())
-        data["segment_duration_s"] = 100000.0
-        manifest.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
-        assert main(args) == 0
-        header, *rows = (out / "avg-30.cdf.csv").read_text().splitlines()
-        levels = [float(row.split(",")[0]) for row in rows]
-        assert header == "level_s,fraction"
-        assert 2 < len(levels) <= CDF_MAX_POINTS + 1
-        assert levels[0] == 0.0 and levels[1].is_integer()
-        assert len({b - a for a, b in zip(levels, levels[1:])}) == 1
-        assert rows[-1].endswith(",1.0")  # the grid reaches the largest buffer level
+        for duration in (100000.0, 2.5):
+            data["segment_duration_s"] = duration
+            manifest.write_text(json.dumps(data))
+            out = tmp_path / f"out-{duration}"
+            args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+            assert main([*args, "--out", str(out)]) == 0
+            header, *rows = (out / "avg-30.cdf.csv").read_text().splitlines()
+            levels = [float(row.split(",")[0]) for row in rows]
+            assert header == "level_s,fraction"
+            assert 2 < len(levels) <= CDF_MAX_POINTS + 1
+            assert levels[0] == 0.0 and levels[1].is_integer()
+            assert len({b - a for a, b in zip(levels, levels[1:])}) == 1
+            assert rows[-1].endswith(",1.0")  # the grid reaches the largest buffer level
 
     def test_invalid_thresholds_exit_2(self, inputs, tmp_path):
         manifest, trace = inputs
@@ -354,6 +356,7 @@ def _rename_version_column(records):
         pytest.param(
             lambda h, r: r[7].update(case="bogus"), "line 9: field 'case'", id="unknown-case"
         ),
+        pytest.param(lambda h, r: r.clear(), "log has no records", id="header-only"),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
@@ -383,6 +386,15 @@ def _set_size(value):
     return lambda m: m["versions"][2]["segment_sizes"].__setitem__(7, value)
 
 
+def _set_bytes_size(value):
+    # sizes are checked before the bytes-to-bits conversion turns true into 8
+    def edit(m):
+        m["size_unit"] = "bytes"
+        _set_size(value)(m)
+
+    return edit
+
+
 def _set_trace_row(row):
     return lambda lines: lines.__setitem__(2, row)  # replaces "120.0,500.0"
 
@@ -397,6 +409,11 @@ def _set_trace_row(row):
         pytest.param("manifest", _set_size(math.nan), "size", id="nan-size"),
         pytest.param("manifest", _set_size(math.inf), "size", id="inf-size"),
         pytest.param("manifest", _set_size(-1), "size", id="negative-size"),
+        pytest.param("manifest", _set_size(10**400), "size", id="huge-int-size"),
+        pytest.param(
+            "manifest", lambda m: m.update(segment_duration_s=10**400), "segment_duration",
+            id="huge-int-duration",
+        ),
         pytest.param("manifest", _set_size("abc"), "size", id="string-size"),
         pytest.param("manifest", lambda m: m["versions"][2].update(qp="38"), "qp", id="string-qp"),
         pytest.param("manifest", lambda m: m.update(versions=5), "versions", id="versions-not-list"),
@@ -409,6 +426,7 @@ def _set_trace_row(row):
             id="sizes-not-list",
         ),
         pytest.param("manifest", _set_size(True), "size", id="bool-size"),
+        pytest.param("manifest", _set_bytes_size(True), "size", id="bytes-bool-size"),
         pytest.param(
             "manifest", lambda m: m["versions"][0].update(index=True), "index", id="bool-index"
         ),
@@ -432,6 +450,7 @@ def _set_trace_row(row):
         pytest.param("args", ["--beta-max", "inf"], "beta_max", id="inf-beta-max"),
         pytest.param("args", ["--start-version", "7"], "start_version", id="start-version-7"),
         pytest.param("args", ["--policy", "avg:0"], "window_n", id="avg-window-0"),
+        pytest.param("args", ["--policy", f"avg:{10**23}"], "window_n", id="avg-window-huge"),
         pytest.param("args", ["--warmup", "400"], "warmup_exclude", id="warmup-400"),
         pytest.param("args", ["--policy", "avg:30,avg"], "AVG-30", id="repeated-avg"),
         pytest.param("args", ["--policy", "itb, ITB"], "ITB", id="repeated-itb"),

@@ -20,7 +20,8 @@ from vbrsim.engine import (
     save_log_jsonl,
     save_logs,
 )
-from vbrsim.model import BandwidthTrace, ClientConfig, VersionInfo, VideoManifest
+from vbrsim.metrics import compute_stats
+from vbrsim.model import BandwidthTrace, ClientConfig, VideoManifest
 from vbrsim.policies import decide
 from vbrsim.scenarios import gen_rect_bandwidth, gen_vbr_ladder, ladder_preset
 
@@ -28,11 +29,8 @@ QPS6 = (48, 42, 38, 34, 28, 22)
 
 
 def cbr_manifest(bitrates_kbps=(200, 400, 600, 1000, 2200, 5200), segments=60, duration=2.0):
-    versions = tuple(
-        VersionInfo(index=i + 1, qp=QPS6[i], segment_sizes=(int(kbps * 1000 * duration),) * segments)
-        for i, kbps in enumerate(bitrates_kbps)
-    )
-    return VideoManifest(title="cbr", segment_duration=duration, versions=versions)
+    sizes = [(int(kbps * 1000 * duration),) * segments for kbps in bitrates_kbps]
+    return VideoManifest("cbr", duration, QPS6[: len(bitrates_kbps)], sizes)
 
 
 def constant_trace(bps):
@@ -114,7 +112,7 @@ class TestRunSessionSteadyState:
         log = run_session(m, trace, ClientConfig(window_n=10))
         versions = [r.version_requested for r in log.records]
         assert versions[-40:] == [6] * 40
-        assert log.total_stall == 0.0
+        assert sum(r.stall_time for r in log.records) == 0.0
         assert max(r.buffer_after for r in log.records) <= 50.0 + 2.0
         assert min(r.buffer_after for r in log.records[-40:]) >= 49.0
 
@@ -149,22 +147,25 @@ class TestRunSessionSteadyState:
                     wall = last.completion_time - log.playback_start
                     downloaded = m.num_segments * m.segment_duration
                     expected = wall + last.buffer_after - downloaded
-                    assert log.total_stall == pytest.approx(expected, abs=1e-6)
+                    stall = sum(r.stall_time for r in log.records)
+                    assert stall == pytest.approx(expected, abs=1e-6)
                     if m is heavy:
-                        assert log.total_stall > 200.0
+                        assert stall > 200.0
 
     def test_stall_accounting(self):
         # bandwidth collapses mid-session far below the lowest rung
         m = cbr_manifest(bitrates_kbps=(500, 1000), segments=40)
         trace = BandwidthTrace(((0.0, 5e6), (2.0, 100e3)))
         log = run_session(m, trace, ClientConfig(window_n=10, rtt=0.0))
-        assert log.total_stall > 0
+        assert sum(r.stall_time for r in log.records) > 0
         for r in log.records:
             assert r.stall_time >= 0
             if r.stall_time > 0:
                 # a stalled download drained the whole buffer
                 assert r.buffer_after == pytest.approx(m.segment_duration)
-        assert log.total_stall == pytest.approx(sum(r.stall_time for r in log.records))
+        assert compute_stats(log).total_stall == pytest.approx(
+            sum(r.stall_time for r in log.records)
+        )
 
     def test_buffer_never_negative_never_above_cap(self):
         rng = random.Random(77)
@@ -224,14 +225,14 @@ class TestInformationBarrier:
         log = run_session(m, trace, cfg)
         requested = {(r.version_requested, r.index) for r in log.records}
 
-        perturbed_versions = []
-        for v in m.versions:
-            sizes = [
-                size if (v.index, i) in requested else size * 3 + 17
-                for i, size in enumerate(v.segment_sizes)
+        perturbed_sizes = [
+            [
+                size if (version, i) in requested else size * 3 + 17
+                for i, size in enumerate(sizes)
             ]
-            perturbed_versions.append(VersionInfo(v.index, v.qp, tuple(sizes)))
-        m2 = VideoManifest(m.title, m.segment_duration, tuple(perturbed_versions))
+            for version, sizes in enumerate(m.segment_sizes, start=1)
+        ]
+        m2 = VideoManifest(m.title, m.segment_duration, m.qps, perturbed_sizes)
 
         log2 = run_session(m2, trace, cfg)
         assert [r.version_requested for r in log2.records] == [
@@ -376,7 +377,7 @@ class TestLogSerialization:
             run_session(vbr, rect, ClientConfig(policy="avg", window_n=30), trace_label="rect"),
             run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
         ]
-        assert sessions[-1].total_stall > 0
+        assert sum(r.stall_time for r in sessions[-1].records) > 0
         assert {"itb", "stable"} <= {r.case_label for log in sessions for r in log.records}
         for log in sessions:
             save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
@@ -391,7 +392,7 @@ class TestLogSerialization:
             run_session(vbr, rect, ClientConfig(policy="avg", window_n=30), trace_label="rect"),
             run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
         ]
-        assert sessions[-1].total_stall > 0
+        assert sum(r.stall_time for r in sessions[-1].records) > 0
         for n, log in enumerate(sessions):
             jsonl, csv_path = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
             save_logs(log, jsonl, csv_path)
@@ -444,7 +445,7 @@ class TestLogSerialization:
         for name, (trace, cfg) in sessions.items():
             log = run_session(vbr, trace, cfg, trace_label=name)
             if name == "avg-30-starved":
-                assert log.total_stall > 0
+                assert sum(r.stall_time for r in log.records) > 0
                 assert "panic" in {r.case_label for r in log.records}
             save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
             written[name] = tuple(

@@ -7,7 +7,6 @@ from vbrsim.engine import download_time
 from vbrsim.model import (
     BandwidthTrace,
     ClientConfig,
-    VersionInfo,
     VideoManifest,
     load_manifest,
     load_trace,
@@ -20,12 +19,10 @@ from vbrsim.model import (
 def make_manifest(sizes_by_version=None, duration=2.0):
     if sizes_by_version is None:
         sizes_by_version = [(407540, 407540), (4000000, 4000000)]
-    qps = list(range(48, 48 - 6 * len(sizes_by_version), -6))
-    versions = [
-        VersionInfo(index=i + 1, qp=qps[i], segment_sizes=tuple(sizes))
-        for i, sizes in enumerate(sizes_by_version)
-    ]
-    return VideoManifest(title="test", segment_duration=duration, versions=tuple(versions))
+    qps = tuple(range(48, 48 - 6 * len(sizes_by_version), -6))
+    return VideoManifest(
+        title="test", segment_duration=duration, qps=qps, segment_sizes=sizes_by_version
+    )
 
 
 class TestSegmentBitrate:
@@ -63,23 +60,25 @@ class TestManifestInvariants:
             make_manifest([(100, 100), (200, 200, 200)])
 
     def test_qp_must_decrease_with_index(self):
-        versions = (
-            VersionInfo(index=1, qp=30, segment_sizes=(100,)),
-            VersionInfo(index=2, qp=30, segment_sizes=(200,)),
-        )
         with pytest.raises(ValueError):
-            VideoManifest(title="bad", segment_duration=2.0, versions=versions)
+            VideoManifest("bad", 2.0, qps=(30, 30), segment_sizes=((100,), (200,)))
         for bad in ("30", 30.0, True, -1, 64, 2**70):
             with pytest.raises(ValueError, match="qp must be an int"):
-                VersionInfo(index=1, qp=bad, segment_sizes=(100,))
+                VideoManifest("bad", 2.0, qps=(bad, 22), segment_sizes=((100,), (200,)))
 
     def test_indices_contiguous(self):
-        versions = (
-            VersionInfo(index=1, qp=48, segment_sizes=(100,)),
-            VersionInfo(index=3, qp=42, segment_sizes=(200,)),
-        )
-        with pytest.raises(ValueError):
-            VideoManifest(title="bad", segment_duration=2.0, versions=versions)
+        # the version index exists only in the file format
+        data = {
+            "title": "bad",
+            "segment_duration_s": 2.0,
+            "size_unit": "bits",
+            "versions": [
+                {"index": 1, "qp": 48, "segment_sizes": [100]},
+                {"index": 3, "qp": 42, "segment_sizes": [200]},
+            ],
+        }
+        with pytest.raises(ValueError, match="contiguous indices"):
+            manifest_from_dict(data)
 
     def test_duration_positive(self):
         for bad in (0, math.nan, math.inf, "2.0"):

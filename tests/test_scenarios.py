@@ -59,7 +59,7 @@ class TestVbrLadder:
     def test_zero_burstiness_is_cbr_at_targets(self):
         m = gen_vbr_ladder(small_spec(burstiness=0.0))
         for k, target in enumerate(small_spec().target_avg_bitrates, start=1):
-            sizes = set(m.versions[k - 1].segment_sizes)
+            sizes = set(m.segment_sizes[k - 1])
             assert len(sizes) == 1
             assert sizes.pop() == round(target * 2.0)
 
@@ -71,7 +71,7 @@ class TestVbrLadder:
         spec = ladder_preset("sony-like", seed=7)
         m = gen_vbr_ladder(spec)
         for k, target in enumerate(spec.target_avg_bitrates, start=1):
-            mean = sum(m.versions[k - 1].segment_sizes) / spec.segment_count / 2.0
+            mean = sum(m.segment_sizes[k - 1]) / spec.segment_count / 2.0
             assert mean == pytest.approx(target, rel=0.01)
 
     def test_versions_share_one_shape(self, monkeypatch):
@@ -80,15 +80,15 @@ class TestVbrLadder:
         monkeypatch.setattr(scenarios, "MODEL_ERROR", 0.0)
         spec = small_spec()
         m = gen_vbr_ladder(spec)
-        top_sizes = m.versions[-1].segment_sizes
+        top_sizes = m.segment_sizes[-1]
         top_target = spec.target_avg_bitrates[-1]
-        for version, target in zip(m.versions, spec.target_avg_bitrates):
-            for size, top_size in zip(version.segment_sizes, top_sizes):
+        for sizes, target in zip(m.segment_sizes, spec.target_avg_bitrates):
+            for size, top_size in zip(sizes, top_sizes):
                 assert size == pytest.approx(top_size * target / top_target, rel=1e-5)
 
     def test_burst_segments_stand_out(self):
         m = gen_vbr_ladder(small_spec(burstiness=0.2, segment_count=100))
-        sizes = m.versions[2].segment_sizes
+        sizes = m.segment_sizes[2]
         non_burst = [s for i, s in enumerate(sizes) if i % BURST_PERIOD != 0]
         burst = [s for i, s in enumerate(sizes) if i % BURST_PERIOD == 0]
         assert min(burst) > sum(non_burst) / len(non_burst)
