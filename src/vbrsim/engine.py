@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -27,7 +26,8 @@ from typing import NamedTuple
 
 from . import policies
 from .estimators import EstimatorState
-from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest
+from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
+from .model import COUNT, INTEGER, NUMBER, POSITIVE, STRING, valid
 
 
 class SegmentRecord(NamedTuple):
@@ -193,32 +193,19 @@ _case_label = itemgetter(LOG_COLUMNS.index("case"))
 _BLOCK = 64
 
 
-def _finite(values) -> bool:
-    """True when every value converts to a finite float."""
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-# What a logged value must be: (exact types allowed, test on all values, wording)
-_STRING = (frozenset({str}), None, "a string")
-_INTEGER = (frozenset({int}), None, "an integer")
-_NUMBER = (frozenset({int, float}), _finite, "a finite number")
-_POSITIVE = (frozenset({int, float}), lambda v: _finite(v) and min(v) > 0, "a finite number > 0")
-_COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
+# The rule a logged case label must meet; model holds the others
 _CASE = (frozenset({str}), _CASES.issuperset, f"one of {sorted(_CASES)}")
 _COLUMN_RULES = tuple(
-    {"index": _INTEGER, "version": _INTEGER, "case": _CASE}.get(column, _NUMBER)
+    {"index": INTEGER, "version": INTEGER, "case": _CASE}.get(column, NUMBER)
     for column in LOG_COLUMNS
 )
 # (header key, SessionLog field, rule); the header also holds "config"
 _HEADER_FIELDS = (
-    ("manifest_title", "manifest_title", _STRING),
-    ("trace_label", "trace_label", _STRING),
-    ("segment_duration_s", "segment_duration", _POSITIVE),
-    ("num_versions", "num_versions", _COUNT),
-    ("playback_start_s", "playback_start", _NUMBER),
+    ("manifest_title", "manifest_title", STRING),
+    ("trace_label", "trace_label", STRING),
+    ("segment_duration_s", "segment_duration", POSITIVE),
+    ("num_versions", "num_versions", COUNT),
+    ("playback_start_s", "playback_start", NUMBER),
 )
 _HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
@@ -303,11 +290,6 @@ def _check_keys(obj, keys, where: str) -> None:
             raise ValueError(f"{where}: unknown field {key!r}")
 
 
-def _valid(values, rule) -> bool:
-    types, test, _ = rule
-    return set(map(type, values)) <= types and (test is None or test(values))
-
-
 def _value_error(path, lineno: int, name: str, value, rule) -> ValueError:
     return ValueError(f"{path}: line {lineno}: field {name!r} must be {rule[2]}, got {value!r}")
 
@@ -315,7 +297,7 @@ def _value_error(path, lineno: int, name: str, value, rule) -> ValueError:
 def _json_line(path, lineno: int, line: str):
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
 
 
@@ -331,7 +313,7 @@ def _block_values(path, block) -> list:
     if all(map(str.startswith, texts, itertools.repeat("{"))):
         try:
             rows = json.loads("[" + ",".join(texts) + "]")
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             rows = None
         if rows is not None and len(rows) == len(texts):
             return rows
@@ -341,34 +323,33 @@ def _block_values(path, block) -> list:
 def load_log_jsonl(path) -> SessionLog:
     records = []
     make_record = SegmentRecord._make
-    with open(path) as fh:
-        # the header is line 1 and record i is line i + 2
-        lines = enumerate(fh, 1)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: empty log file")
-        header = _json_line(path, *first)
-        _check_keys(header, _HEADER_KEYS, f"{path}: header")
-        _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
-        for key, _, rule in _HEADER_FIELDS:
-            if not _valid((header[key],), rule):
-                raise _value_error(path, 1, key, header[key], rule)
-        try:
-            config = ClientConfig(**header["config"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: header config: {exc}") from exc
-        while block := list(itertools.islice(lines, _BLOCK)):
-            rows = _block_values(path, block)
-            for (lineno, _), row in zip(block, rows):
-                if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                    _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
-            records.extend(map(make_record, map(_column_values, rows)))
+    # the header is line 1 and record i is line i + 2
+    lines = enumerate(text_lines(path), 1)
+    first = next(lines, None)
+    if first is None:
+        raise ValueError(f"{path}: empty log file")
+    header = _json_line(path, *first)
+    _check_keys(header, _HEADER_KEYS, f"{path}: header")
+    _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+    for key, _, rule in _HEADER_FIELDS:
+        if not valid((header[key],), rule):
+            raise _value_error(path, 1, key, header[key], rule)
+    try:
+        config = ClientConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: header config: {exc}") from exc
+    while block := list(itertools.islice(lines, _BLOCK)):
+        rows = _block_values(path, block)
+        for (lineno, _), row in zip(block, rows):
+            if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
+                _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
+        records.extend(map(make_record, map(_column_values, rows)))
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
     # whole columns at a time, which is far cheaper than a check per value
     for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, zip(*records)):
-        if not _valid(column, rule):
-            i = next(i for i, value in enumerate(column) if not _valid((value,), rule))
+        if not valid(column, rule):
+            i = next(i for i, value in enumerate(column) if not valid((value,), rule))
             raise _value_error(path, i + 2, name, column[i], rule)
     return SessionLog(
         records=tuple(records),

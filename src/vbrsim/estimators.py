@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import QP_MAX, QP_MIN, ClientConfig, StateError
+from .model import QP, ClientConfig, StateError, valid
 
 
 def estimate_cross_version_bitrate(
@@ -44,8 +44,8 @@ class EstimatorState:
     """
 
     def __init__(self, qps, cfg: ClientConfig):
-        if not qps or not all(type(qp) is int and QP_MIN <= qp <= QP_MAX for qp in qps):
-            raise ValueError(f"qps must be one int in {QP_MIN}..{QP_MAX} per version, got {qps!r}")
+        if not qps or not valid(qps, QP):
+            raise ValueError(f"qps must be one QP per version, each {QP[2]}, got {qps!r}")
         self.num_versions = len(qps)
         self.theta = cfg.theta
         self.delta = cfg.delta

@@ -22,10 +22,37 @@ class StateError(RuntimeError):
     """Raised when an operation is applied to state in the wrong order."""
 
 
+def _finite(values) -> bool:
+    """True when every value converts to a finite float."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# What a value read from a manifest, a session log or a ClientConfig must be:
+# (exact types allowed, test on all values, wording). Types are exact, as JSON
+# true/false are bools and bool is an int; _finite refuses an int too large for
+# a float, on which a session's arithmetic would overflow.
+STRING = (frozenset({str}), None, "a string")
+INTEGER = (frozenset({int}), None, "an integer")
+NUMBER = (frozenset({int, float}), _finite, "a finite number")
+POSITIVE = (frozenset({int, float}), lambda v: _finite(v) and min(v) > 0, "a finite number > 0")
+COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
 # The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
 # projection, 2 ** (QP gap / 6), finite.
-QP_MIN, QP_MAX = 0, 63
-_FLOAT_MAX = sys.float_info.max
+QP = (frozenset({int}), lambda v: min(v) >= 0 and max(v) <= 63, "an int in 0..63")
+
+
+def valid(values, rule) -> bool:
+    """True when every one of ``values``, a non-empty sequence, meets ``rule``."""
+    types, test, _ = rule
+    return set(map(type, values)) <= types and (test is None or test(values))
+
+
+def _check(value, rule, name: str) -> None:
+    if not valid((value,), rule):
+        raise ValueError(f"{name} must be {rule[2]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,14 +70,8 @@ class VideoManifest:
     segment_sizes: tuple
 
     def __post_init__(self):
-        # exact type checks: JSON true/false are bools, and bool is an int;
-        # a number above the largest float is rejected too, since the
-        # session's float arithmetic would overflow on it
-        if not isinstance(self.title, str):
-            raise ValueError(f"title must be a string, got {self.title!r}")
-        duration = self.segment_duration
-        if not (type(duration) in (int, float) and 0 < duration <= _FLOAT_MAX):
-            raise ValueError(f"segment_duration must be a finite number > 0, got {duration!r}")
+        _check(self.title, STRING, "title")
+        _check(self.segment_duration, POSITIVE, "segment_duration")
         qps = tuple(self.qps)
         if len(qps) < 2:
             raise ValueError("manifest needs at least 2 versions")
@@ -61,21 +82,16 @@ class VideoManifest:
             )
         rows = []
         for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
-            if not (type(qp) is int and QP_MIN <= qp <= QP_MAX):
-                raise ValueError(
-                    f"version {k}: qp must be an int in {QP_MIN}..{QP_MAX}, got {qp!r}"
-                )
+            _check(qp, QP, f"version {k}: qp")
             if not isinstance(sizes, (list, tuple)):
                 raise ValueError(
                     f"version {k}: segment_sizes must be a list, got {type(sizes).__name__}"
                 )
             if not sizes:
                 raise ValueError(f"version {k} has no segments")
-            for i, size in enumerate(sizes):
-                if not (type(size) in (int, float) and 0 < size <= _FLOAT_MAX):
-                    raise ValueError(
-                        f"version {k} segment {i}: size must be a finite number > 0, got {size!r}"
-                    )
+            if not valid(sizes, POSITIVE):
+                i = next(i for i, size in enumerate(sizes) if not valid((size,), POSITIVE))
+                _check(sizes[i], POSITIVE, f"version {k} segment {i}: size")
             rows.append(tuple(sizes))
         counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
@@ -141,12 +157,11 @@ class BandwidthTrace:
 
 _POLICIES = ("avg", "itb")
 UPTREND_GATES = ("prose", "pseudocode")
-# exact types allowed for a ClientConfig field of each annotated type, and
-# their wording; JSON true/false are bools, and bool is an int
-_FIELD_TYPES = {
-    "int": ((int,), "an int"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
+# The rule each ClientConfig field must meet
+_CONFIG_RULES = {
+    "beta_min": POSITIVE, "beta_max": POSITIVE, "window_n": COUNT, "delta": POSITIVE,
+    "theta": POSITIVE, "rtt": NUMBER, "start_version": COUNT, "policy": STRING,
+    "uptrend_gate": STRING,
 }
 
 
@@ -175,25 +190,16 @@ class ClientConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            types, wording = _FIELD_TYPES[f.type]
-            if type(value) not in types:
-                raise ValueError(f"{f.name} must be {wording}, got {value!r}")
-        if not 0 < self.beta_min < self.beta_max < math.inf:
-            raise ValueError(
-                f"need finite 0 < beta_min < beta_max, got ({self.beta_min}, {self.beta_max})"
-            )
+            _check(getattr(self, f.name), _CONFIG_RULES[f.name], f.name)
+        if not self.beta_min < self.beta_max:
+            raise ValueError(f"need beta_min < beta_max, got ({self.beta_min}, {self.beta_max})")
         # the estimator's deque window takes at most sys.maxsize items
-        if not 1 <= self.window_n <= sys.maxsize:
+        if self.window_n > sys.maxsize:
             raise ValueError(f"window_n must be in 1..{sys.maxsize}, got {self.window_n}")
-        if not 0 < self.delta <= 1:
+        if self.delta > 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if not 0 < self.theta < math.inf:
-            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
-        if not 0 <= self.rtt < math.inf:
-            raise ValueError(f"rtt must be finite and >= 0, got {self.rtt}")
-        if self.start_version < 1:
-            raise ValueError(f"start_version must be >= 1, got {self.start_version}")
+        if self.rtt < 0:
+            raise ValueError(f"rtt must be >= 0, got {self.rtt}")
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {_POLICIES}")
         if self.uptrend_gate not in UPTREND_GATES:
@@ -267,12 +273,21 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def text_lines(path, newline=None):
+    """Yield the lines of the text file ``path``; undecodable bytes name the file."""
+    with open(path, newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_manifest(path) -> VideoManifest:
     path = Path(path)
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return manifest_from_dict(data, where=str(path))
 
@@ -295,8 +310,8 @@ def save_manifest(manifest: VideoManifest, path) -> None:
 def load_trace(path) -> BandwidthTrace:
     path = Path(path)
     breakpoints = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(text_lines(path, newline=""))
+    try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["time_s", "bandwidth_kbps"]:
             raise ValueError(f"{path}: expected header 'time_s,bandwidth_kbps', got {header}")
@@ -310,6 +325,8 @@ def load_trace(path) -> BandwidthTrace:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             breakpoints.append((t, kbps * 1000.0))
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     try:
         return BandwidthTrace(tuple(breakpoints))
     except ValueError as exc:

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .model import BandwidthTrace, VideoManifest
+from .model import NUMBER, BandwidthTrace, VideoManifest, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -69,7 +69,7 @@ class LadderSpec:
                 f"segment_duration must be finite and > 0, got {self.segment_duration}"
             )
         # the log-normal variance log(1 + cv**2) needs a finite square
-        if not (self.burstiness >= 0 and math.isfinite(self.burstiness * self.burstiness)):
+        if not (self.burstiness >= 0 and valid((self.burstiness * self.burstiness,), NUMBER)):
             raise ValueError(
                 f"burstiness must be >= 0 with a finite square, got {self.burstiness}"
             )

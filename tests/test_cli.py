@@ -311,6 +311,20 @@ def _rename_version_column(records):
         rec["version_requested"] = rec.pop("version")
 
 
+# A file that does not decode as UTF-8
+_NOT_UTF8 = b"\xff\xfe"
+
+
+def _jsonl(header, records) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in [header, *records])
+
+
+def _huge_index(header, records):
+    # json.dumps cannot write an int of more than 4300 digits, so the text is edited
+    records[5]["index"] = "HUGE"
+    return _jsonl(header, records).replace('"HUGE"', "1" + "0" * 5000).encode()
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [
@@ -357,6 +371,12 @@ def _rename_version_column(records):
             lambda h, r: r[7].update(case="bogus"), "line 9: field 'case'", id="unknown-case"
         ),
         pytest.param(lambda h, r: r.clear(), "log has no records", id="header-only"),
+        pytest.param(
+            lambda h, r: h["config"].update(theta=10**400), "header config: theta",
+            id="huge-int-theta",
+        ),
+        pytest.param(_huge_index, "line 7: malformed log", id="huge-digits-index"),
+        pytest.param(lambda h, r: _NOT_UTF8, "codec can't decode", id="non-utf8-log"),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
@@ -365,9 +385,10 @@ def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
     args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
     assert main(args) == 0
     header, *records = (json.loads(line) for line in (out / "avg-30.jsonl").read_text().splitlines())
-    mutate(header, records)
+    # a mutation returns bytes when it writes the whole file itself
+    raw = mutate(header, records)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *records]))
+    bad.write_bytes(raw if isinstance(raw, bytes) else _jsonl(header, records).encode())
 
     env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
     proc = subprocess.run(
@@ -397,6 +418,12 @@ def _set_bytes_size(value):
 
 def _set_trace_row(row):
     return lambda lines: lines.__setitem__(2, row)  # replaces "120.0,500.0"
+
+
+def _huge_digits_duration(m):
+    # json.dumps cannot write an int of more than 4300 digits, so the text is edited
+    m["segment_duration_s"] = "HUGE"
+    return json.dumps(m).replace('"HUGE"', "1" + "0" * 5000).encode()
 
 
 @pytest.mark.parametrize(
@@ -431,6 +458,8 @@ def _set_trace_row(row):
             "manifest", lambda m: m["versions"][0].update(index=True), "index", id="bool-index"
         ),
         pytest.param("manifest", lambda m: m.update(title=5), "title", id="title-not-string"),
+        pytest.param("manifest", _huge_digits_duration, "not valid JSON", id="huge-digits-duration"),
+        pytest.param("manifest", lambda m: _NOT_UTF8, "codec can't decode", id="non-utf8-manifest"),
         pytest.param(
             "manifest", lambda m: m.update(segment_duration_s=True), "segment_duration",
             id="bool-duration",
@@ -444,6 +473,11 @@ def _set_trace_row(row):
         pytest.param("trace", _set_trace_row("120.0,nan"), "bandwidth", id="nan-bandwidth"),
         pytest.param("trace", _set_trace_row("120.0,inf"), "bandwidth", id="inf-bandwidth"),
         pytest.param("trace", _set_trace_row("nan,500.0"), "breakpoint", id="nan-time"),
+        pytest.param(
+            "trace", _set_trace_row("120.0," + "5" * 200_000), "line 3: field larger than",
+            id="oversized-trace-field",
+        ),
+        pytest.param("trace", lambda lines: _NOT_UTF8, "codec can't decode", id="non-utf8-trace"),
         pytest.param("args", ["--theta", "nan"], "theta", id="nan-theta"),
         pytest.param("args", ["--rtt", "inf"], "rtt", id="inf-rtt"),
         pytest.param("args", ["--rtt", "nan"], "rtt", id="nan-rtt"),
@@ -458,17 +492,18 @@ def _set_trace_row(row):
 )
 def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
     manifest, trace = inputs
+    # an edit returns bytes when it writes the whole file itself
     extra, bad = [], None
     if where == "manifest":
         data = json.loads(manifest.read_text())
-        edit(data)
+        raw = edit(data)
         bad = manifest = tmp_path / "bad.json"
-        manifest.write_text(json.dumps(data))
+        manifest.write_bytes(raw if isinstance(raw, bytes) else json.dumps(data).encode())
     elif where == "trace":
         lines = trace.read_text().splitlines()
-        edit(lines)
+        raw = edit(lines)
         bad = trace = tmp_path / "bad.csv"
-        trace.write_text("\n".join(lines) + "\n")
+        trace.write_bytes(raw if isinstance(raw, bytes) else ("\n".join(lines) + "\n").encode())
     else:
         extra = edit
 

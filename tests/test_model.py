@@ -1,9 +1,12 @@
+import json
 import math
 import random
+import re
 
 import pytest
+from tests_support import synthetic_log
 
-from vbrsim.engine import download_time
+from vbrsim.engine import download_time, load_log_jsonl, save_logs
 from vbrsim.model import (
     BandwidthTrace,
     ClientConfig,
@@ -166,6 +169,9 @@ class TestClientConfig:
             {"beta_min": math.nan},
             {"window_n": 2.5},
             {"theta": "0.9"},
+            {"theta": 10**400},
+            {"rtt": 10**400},
+            {"beta_max": 10**400},
         ],
     )
     def test_invalid(self, kwargs):
@@ -254,3 +260,60 @@ class TestFileFormats:
         path.write_text("time_s,bandwidth_kbps\n0,abc\n")
         with pytest.raises(ValueError, match="line 2"):
             load_trace(path)
+
+
+def _load_manifest_with(tmp_path, edit):
+    data = {
+        "title": "b",
+        "segment_duration_s": 2.0,
+        "size_unit": "bits",
+        "versions": [
+            {"index": 1, "qp": 48, "segment_sizes": [100, 100]},
+            {"index": 2, "qp": 42, "segment_sizes": [200, 200]},
+        ],
+    }
+    edit(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return load_manifest(path)
+
+
+def _load_log_with_duration(tmp_path, value):
+    path = tmp_path / "log.jsonl"
+    save_logs(synthetic_log([1, 2]), path, tmp_path / "log.csv")
+    header, records = path.read_text().split("\n", 1)
+    path.write_text(json.dumps(dict(json.loads(header), segment_duration_s=value)) + "\n" + records)
+    return load_log_jsonl(path)
+
+
+# Every reader of the POSITIVE rule: how it reads a value, and the field its
+# message names
+POSITIVE_READERS = {
+    "manifest-size": (
+        lambda tmp, v: _load_manifest_with(
+            tmp, lambda m: m["versions"][1]["segment_sizes"].__setitem__(1, v)
+        ),
+        "version 2 segment 1: size",
+    ),
+    "manifest-duration": (
+        lambda tmp, v: _load_manifest_with(tmp, lambda m: m.update(segment_duration_s=v)),
+        "segment_duration",
+    ),
+    "beta_min": (lambda tmp, v: ClientConfig(beta_min=v), "beta_min"),
+    "beta_max": (lambda tmp, v: ClientConfig(beta_max=v), "beta_max"),
+    "delta": (lambda tmp, v: ClientConfig(delta=v), "delta"),
+    "theta": (lambda tmp, v: ClientConfig(theta=v), "theta"),
+    "log-duration": (_load_log_with_duration, "line 1: field 'segment_duration_s'"),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, "1", math.nan, math.inf, 10**400, 0, -1],
+    ids=["true", "string", "nan", "inf", "huge-int", "zero", "negative"],
+)
+@pytest.mark.parametrize("reader", sorted(POSITIVE_READERS))
+def test_every_positive_reader_refuses_the_same_values(tmp_path, reader, value):
+    read, field = POSITIVE_READERS[reader]
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number > 0, got")):
+        read(tmp_path, value)
