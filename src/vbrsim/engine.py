@@ -99,20 +99,27 @@ def run_session(
         raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
     duration = manifest.segment_duration
     est = EstimatorState(manifest.qps, cfg)
+    # looked up once per session, not per segment; bound here rather than at
+    # import, so that a patched policies.decide or method is still called
+    beta_max, rtt = cfg.beta_max, cfg.rtt
+    ingest = est.ingest_segment
+    update_throughput = est.update_smoothed_throughput
+    decide = policies.decide
+    records = []
+    append = records.append
 
     clock = 0.0
     buffer = 0.0
     version = cfg.start_version
-    records = []
 
     for index in range(manifest.num_segments):
-        if buffer > cfg.beta_max:
+        if buffer > beta_max:
             # idle until the buffer has played down to the target level
-            clock += buffer - cfg.beta_max
-            buffer = cfg.beta_max
+            clock += buffer - beta_max
+            buffer = beta_max
 
         size = manifest.segment_size(version, index)
-        completion = clock + download_time(trace, clock, size, cfg.rtt)
+        completion = clock + download_time(trace, clock, size, rtt)
         elapsed = completion - clock
         if elapsed <= 0:
             # the download is shorter than one ulp of the clock
@@ -131,13 +138,13 @@ def run_session(
         buffer += duration
 
         t_instant = size / elapsed
-        est.ingest_segment(index, version, size / duration)
-        est.update_smoothed_throughput(t_instant)
+        ingest(index, version, size / duration)
+        update_throughput(t_instant)
 
-        view = ClientView(buffer_level=buffer, last_version=version, last_throughput=t_instant)
-        decision = policies.decide(view, est, cfg)
+        # ClientView(buffer_level, last_version, last_throughput)
+        decision = decide(ClientView(buffer, version, t_instant), est, cfg)
 
-        records.append(
+        append(
             SegmentRecord(
                 index, version, size, clock, completion, t_instant,
                 buffer_before, buffer, decision.case_label, stall,

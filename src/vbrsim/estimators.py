@@ -67,6 +67,11 @@ class EstimatorState:
         """Representative bitrate per version (index 0 = version 1)."""
         return tuple(sum(w) / len(w) for w in self._windows)
 
+    def _rep_bitrate(self, version: int) -> float:
+        """``rep_bitrates[version - 1]``, bit for bit, from that one window."""
+        window = self._windows[version - 1]
+        return sum(window) / len(window)
+
     def update_smoothed_throughput(self, t_instant: float) -> float:
         """Fold one instant throughput sample into the smoothed estimate."""
         if t_instant <= 0:

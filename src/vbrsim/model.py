@@ -9,6 +9,7 @@ which case ingestion converts once.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -274,12 +275,33 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
 
 
 def text_lines(path, newline=None):
-    """Yield the lines of the text file ``path``; undecodable bytes name the file."""
+    """Yield the lines of the text file ``path``.
+
+    An undecodable byte names the file and the line, and its position counts
+    from the start of that line.
+    """
     with open(path, newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {_undecodable_line(path, exc)}") from exc
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """Name the line of ``path`` that holds the byte ``exc`` failed on.
+
+    ``exc`` counts its position from the start of the chunk the decoder read,
+    so ``path`` is decoded again one line at a time. Lines end at \\n, \\r or
+    \\r\\n, as in text mode.
+    """
+    with open(path, "rb") as fh:
+        lines = itertools.chain.from_iterable(map(bytes.splitlines, fh))
+        for lineno, line in enumerate(lines, 1):
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as line_exc:
+                return f"line {lineno}: {line_exc}"
+    return str(exc)  # the file changed since it was read
 
 
 def load_manifest(path) -> VideoManifest:

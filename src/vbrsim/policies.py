@@ -99,19 +99,16 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     if buffer > cfg.beta_max:
         nxt = current
         if current < est.num_versions:
-            # representative bitrates are summed only in the regimes that read them
-            reps = est.rep_bitrates
-            if cfg.uptrend_gate == "prose":
-                gate_rep = reps[current]  # next-higher version
-            else:
-                gate_rep = reps[current - 1]  # current version
-            if gate_rep < t_est:
+            # only the gated version's window is summed: the next-higher
+            # version under "prose", the current one under "pseudocode"
+            gated = current + 1 if cfg.uptrend_gate == "prose" else current
+            if est._rep_bitrate(gated) < t_est:
                 nxt = current + 1
-        return Decision(nxt, CASE_UPTREND, flexible_threshold=threshold)
+        return Decision(nxt, CASE_UPTREND, threshold)
 
     if buffer >= threshold:
         # includes buffer == beta_max: a full buffer is no reason to switch
-        return Decision(current, CASE_STABLE, flexible_threshold=threshold)
+        return Decision(current, CASE_STABLE, threshold)
 
     if buffer >= cfg.beta_min:
         reps = est.rep_bitrates
@@ -125,12 +122,12 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
         else:
             target = None
             nxt = max(current - 1, 1)
-        return Decision(nxt, CASE_DOWNTREND, flexible_threshold=threshold, target_bitrate=target)
+        return Decision(nxt, CASE_DOWNTREND, threshold, target)
 
     # quality increases are reserved for the uptrend regime, so the panic
     # choice never exceeds the current version
     nxt = min(select_panic_version(est.latest_bitrates, t_instant), current)
-    return Decision(nxt, CASE_PANIC, flexible_threshold=threshold)
+    return Decision(nxt, CASE_PANIC, threshold)
 
 
 def itb_decide(view: ClientView, est: EstimatorState) -> Decision:

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .model import NUMBER, BandwidthTrace, VideoManifest, valid
+from .model import NUMBER, POSITIVE, BandwidthTrace, VideoManifest, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -54,7 +54,7 @@ class LadderSpec:
             )
         if any(hi >= lo for lo, hi in zip(self.qps, self.qps[1:])):
             raise ValueError(f"qps must strictly decrease with version index, got {self.qps}")
-        if not all(0 < b < math.inf for b in self.target_avg_bitrates):
+        if not valid(self.target_avg_bitrates, POSITIVE):
             raise ValueError(
                 f"target bitrates must be finite and > 0, got {self.target_avg_bitrates}"
             )
@@ -64,7 +64,7 @@ class LadderSpec:
             raise ValueError(
                 f"segment_count must be in 1..{MAX_LADDER_SEGMENTS}, got {self.segment_count}"
             )
-        if not 0 < self.segment_duration < math.inf:
+        if not valid((self.segment_duration,), POSITIVE):
             raise ValueError(
                 f"segment_duration must be finite and > 0, got {self.segment_duration}"
             )
@@ -119,7 +119,7 @@ def gen_rect_bandwidth(
         ("period_low", period_low),
         ("total", total),
     ):
-        if not 0 < val < math.inf:
+        if not valid((val,), POSITIVE):
             raise ValueError(f"{name} must be finite and > 0, got {val}")
     if total / (period_high + period_low) > MAX_RECT_BREAKPOINTS / 2:
         raise ValueError(
@@ -136,10 +136,10 @@ def gen_rect_bandwidth(
     return BandwidthTrace(tuple(breakpoints))
 
 
-def _lognormal_shape(rng: random.Random, cv: float) -> float:
-    # unit-mean log-normal with the requested coefficient of variation
+def _lognormal_params(cv: float) -> tuple:
+    # mu and sigma of the unit-mean log-normal with coefficient of variation cv
     sigma2 = math.log(1.0 + cv * cv)
-    return rng.lognormvariate(-sigma2 / 2.0, math.sqrt(sigma2))
+    return -sigma2 / 2.0, math.sqrt(sigma2)
 
 
 def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
@@ -151,14 +151,17 @@ def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
     if spec.burstiness == 0:
         bitrates = [[target] * n for target in spec.target_avg_bitrates]
     else:
-        shapes = [_lognormal_shape(rng, spec.burstiness) for _ in range(n)]
+        draw = rng.lognormvariate
+        mu, sigma = _lognormal_params(spec.burstiness)
+        shapes = [draw(mu, sigma) for _ in range(n)]
         for i in range(0, n, BURST_PERIOD):
             shapes[i] *= BURST_FACTOR
+        noise_mu, noise_sigma = _lognormal_params(MODEL_ERROR)
         bitrates = []
         for k, target in enumerate(spec.target_avg_bitrates):
             row = shapes
             if k != top:
-                row = [s * _lognormal_shape(rng, MODEL_ERROR) for s in shapes]
+                row = [s * draw(noise_mu, noise_sigma) for s in shapes]
             scale = target / (sum(row) / n)
             bitrates.append([b * scale for b in row])
 

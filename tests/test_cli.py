@@ -315,6 +315,17 @@ def _rename_version_column(records):
 _NOT_UTF8 = b"\xff\xfe"
 
 
+def _bad_byte_on_line_101(lines):
+    # far enough into the file that the decoder's chunk position is not the line's
+    lines = [line.encode() for line in lines]
+    lines[100] = lines[100][:5] + b"\xff" + lines[100][5:]
+    return b"\n".join(lines) + b"\n"
+
+
+# the position counts from the start of line 101
+_LINE_101 = "line 101: 'utf-8' codec can't decode byte 0xff in position 5"
+
+
 def _jsonl(header, records) -> str:
     return "".join(json.dumps(obj) + "\n" for obj in [header, *records])
 
@@ -377,6 +388,10 @@ def _huge_index(header, records):
         ),
         pytest.param(_huge_index, "line 7: malformed log", id="huge-digits-index"),
         pytest.param(lambda h, r: _NOT_UTF8, "codec can't decode", id="non-utf8-log"),
+        pytest.param(
+            lambda h, r: _bad_byte_on_line_101(_jsonl(h, r).splitlines()), _LINE_101,
+            id="non-utf8-log-line-101",
+        ),
     ],
 )
 def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
@@ -418,6 +433,10 @@ def _set_bytes_size(value):
 
 def _set_trace_row(row):
     return lambda lines: lines.__setitem__(2, row)  # replaces "120.0,500.0"
+
+
+# 150 breakpoints, 60 s apart, alternating 2500 and 500 kbps
+_RECT_ROWS = [f"{60.0 * i},{(2500.0, 500.0)[i % 2]}" for i in range(150)]
 
 
 def _huge_digits_duration(m):
@@ -478,6 +497,10 @@ def _huge_digits_duration(m):
             id="oversized-trace-field",
         ),
         pytest.param("trace", lambda lines: _NOT_UTF8, "codec can't decode", id="non-utf8-trace"),
+        pytest.param(
+            "trace", lambda lines: _bad_byte_on_line_101([*lines[:1], *_RECT_ROWS]), _LINE_101,
+            id="non-utf8-trace-line-101",
+        ),
         pytest.param("args", ["--theta", "nan"], "theta", id="nan-theta"),
         pytest.param("args", ["--rtt", "inf"], "rtt", id="inf-rtt"),
         pytest.param("args", ["--rtt", "nan"], "rtt", id="nan-rtt"),

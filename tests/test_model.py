@@ -16,6 +16,7 @@ from vbrsim.model import (
     manifest_from_dict,
     save_manifest,
     save_trace,
+    text_lines,
 )
 
 
@@ -200,6 +201,17 @@ class TestClientConfig:
 
 
 class TestFileFormats:
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+        # lines end as in text mode; 0xc3 0x28 is a cut-short two-byte sequence
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a\r\nb\rc\n\n" + "\u00e9".encode() * 5000 + b"x\xc3(\n")
+        with pytest.raises(ValueError) as info:
+            list(text_lines(path, newline=newline))
+        message = str(info.value)
+        assert message.startswith(f"{path}: line 5: 'utf-8' codec can't decode byte 0xc3")
+        assert "in position 10001:" in message
+
     def test_manifest_round_trip(self, tmp_path):
         m = make_manifest([(407540, 500000, 380000), (4000000, 4400000, 3900000)])
         path = tmp_path / "m.json"

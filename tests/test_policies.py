@@ -28,8 +28,10 @@ def make_view(buffer_level, last_version, t_instant):
 
 def make_est(reps, latest, smoothed):
     """Minimal estimator stand-in with prescribed readings."""
+    reps = tuple(reps)
     return SimpleNamespace(
-        rep_bitrates=tuple(reps),
+        rep_bitrates=reps,
+        _rep_bitrate=lambda version: reps[version - 1],
         latest_bitrates=tuple(latest),
         smoothed_throughput=smoothed,
         segments_seen=1,
@@ -288,17 +290,22 @@ class TestAvgDecide:
 
 
 class RepTripwire(SimpleNamespace):
-    """Estimator stand-in whose representative bitrates raise when read."""
+    """Estimator stand-in whose representative bitrate tuple raises when read,
+    and which records each version whose window is read on its own."""
 
     @property
     def rep_bitrates(self):
         raise LookupError("rep_bitrates read")
 
+    def _rep_bitrate(self, version):
+        self.windows_read.append(version)
+        return self.reps[version - 1]
+
 
 class TestRepresentativeBitratesReadLazily:
     # pins the saving: stable, panic and top-version uptrend decisions never
-    # sum the windows (stable alone is about half of AVG-30's decisions on
-    # a long session)
+    # sum a window (stable alone is about half of AVG-30's decisions on a long
+    # session), and uptrend below the top sums only the gated version's one
     READINGS = dict(
         reps=(210e3, 400e3, 610e3, 1000e3, 2200e3, 5200e3),
         latest=(200e3, 400e3, 600e3, 1000e3, 2200e3, 5200e3),
@@ -307,7 +314,8 @@ class TestRepresentativeBitratesReadLazily:
 
     def tripwire(self):
         readings = vars(make_est(**self.READINGS))
-        return RepTripwire(**{k: v for k, v in readings.items() if k != "rep_bitrates"})
+        del readings["rep_bitrates"], readings["_rep_bitrate"]
+        return RepTripwire(**readings, reps=self.READINGS["reps"], windows_read=[])
 
     @pytest.mark.parametrize("gate", ["prose", "pseudocode"])
     @pytest.mark.parametrize(
@@ -316,18 +324,29 @@ class TestRepresentativeBitratesReadLazily:
     def test_regimes_that_never_read_them(self, buffer, version, case, gate):
         view = make_view(buffer_level=buffer, last_version=version, t_instant=1000e3)
         cfg = ClientConfig(uptrend_gate=gate)
-        d = avg_decide(view, self.tripwire(), cfg)
+        est = self.tripwire()
+        d = avg_decide(view, est, cfg)
         assert d.case_label == case
         assert d == avg_decide(view, make_est(**self.READINGS), cfg)
+        assert est.windows_read == []
 
     @pytest.mark.parametrize("gate", ["prose", "pseudocode"])
     @pytest.mark.parametrize("buffer, case", [(51, "uptrend"), (20, "downtrend")])
     def test_regimes_that_read_them(self, buffer, case, gate):
+        # uptrend below the top reads the gated version's window alone (the
+        # next-higher version under prose, the current one under pseudocode);
+        # downtrend reads the whole tuple
         view = make_view(buffer_level=buffer, last_version=4, t_instant=1000e3)
         cfg = ClientConfig(uptrend_gate=gate)
-        assert avg_decide(view, make_est(**self.READINGS), cfg).case_label == case
-        with pytest.raises(LookupError, match="rep_bitrates"):
-            avg_decide(view, self.tripwire(), cfg)
+        expected = avg_decide(view, make_est(**self.READINGS), cfg)
+        assert expected.case_label == case
+        est = self.tripwire()
+        if case == "downtrend":
+            with pytest.raises(LookupError, match="rep_bitrates"):
+                avg_decide(view, est, cfg)
+        else:
+            assert avg_decide(view, est, cfg) == expected
+            assert est.windows_read == [5 if gate == "prose" else 4]
 
 
 class TestItbDecide:

@@ -54,6 +54,11 @@ class TestRectBandwidth:
         with pytest.raises(ValueError):
             gen_rect_bandwidth(1e6, 1e6, 10, 10, 0)
 
+    def test_rejects_an_int_too_large_for_a_float(self):
+        # 10**400 is finite as an int but overflows once made a float
+        with pytest.raises(ValueError, match="high must be finite and > 0"):
+            gen_rect_bandwidth(10**400, 1e5, 10, 10, 100)
+
 
 class TestVbrLadder:
     def test_zero_burstiness_is_cbr_at_targets(self):
@@ -131,6 +136,18 @@ class TestVbrLadder:
     )
     def test_invalid_specs(self, overrides):
         with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"target_avg_bitrates": (400e3, 1000e3, 10**400)}, "target bitrates"),
+            ({"segment_duration": 10**400}, "segment_duration"),
+        ],
+    )
+    def test_rejects_an_int_too_large_for_a_float(self, overrides, field):
+        # accepted before, then an OverflowError in gen_vbr_ladder
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             small_spec(**overrides)
 
 
