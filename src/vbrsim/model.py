@@ -315,18 +315,28 @@ def load_manifest(path) -> VideoManifest:
 
 
 def save_manifest(manifest: VideoManifest, path) -> None:
-    data = {
-        "title": manifest.title,
-        "segment_duration_s": manifest.segment_duration,
-        "size_unit": "bits",
-        "versions": [
-            {"index": k, "qp": qp, "segment_sizes": list(sizes)}
-            for k, (qp, sizes) in enumerate(zip(manifest.qps, manifest.segment_sizes), start=1)
-        ],
-    }
+    """Write ``manifest`` as ``json.dump(..., indent=2)`` does, plus a newline.
+
+    The bytes are written one version at a time, so the whole document is
+    never held as text. Sizes and QPs are exact ints or finite floats, which
+    JSON writes as their ``repr``.
+    """
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(
+            f'{{\n  "title": {json.dumps(manifest.title)},\n'
+            f'  "segment_duration_s": {json.dumps(manifest.segment_duration)},\n'
+            '  "size_unit": "bits",\n  "versions": ['
+        )
+        separator = "\n"
+        for k, (qp, sizes) in enumerate(zip(manifest.qps, manifest.segment_sizes), start=1):
+            fh.write(
+                f'{separator}    {{\n      "index": {k},\n      "qp": {qp!r},\n'
+                '      "segment_sizes": [\n        '
+            )
+            fh.write(",\n        ".join(map(repr, sizes)))
+            fh.write("\n      ]\n    }")
+            separator = ",\n"
+        fh.write("\n  ]\n}\n")
 
 
 def load_trace(path) -> BandwidthTrace:
@@ -356,8 +366,7 @@ def load_trace(path) -> BandwidthTrace:
 
 
 def save_trace(trace: BandwidthTrace, path) -> None:
+    """Write ``trace`` as ``csv.writer`` does; its finite floats need no quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "bandwidth_kbps"])
-        for t, bw in trace.breakpoints:
-            writer.writerow([t, bw / 1000.0])
+        fh.write("time_s,bandwidth_kbps\r\n")
+        fh.writelines("%r,%r\r\n" % (t, bw / 1000.0) for t, bw in trace.breakpoints)

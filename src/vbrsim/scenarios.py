@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from random import NV_MAGICCONST
 
 from .model import NUMBER, POSITIVE, BandwidthTrace, VideoManifest, valid
 
@@ -142,6 +143,27 @@ def _lognormal_params(cv: float) -> tuple:
     return -sigma2 / 2.0, math.sqrt(sigma2)
 
 
+def _lognormals(rng: random.Random, mu: float, sigma: float, n: int) -> list:
+    """``n`` draws of ``rng.lognormvariate(mu, sigma)``, bit for bit.
+
+    This is the stdlib's Kinderman-Monahan loop from ``normalvariate`` with
+    its lookups bound once, so it consumes the same ``rng.random()`` values
+    and leaves ``rng`` in the same state.
+    """
+    uniform, log, exp = rng.random, math.log, math.exp
+    out = []
+    append = out.append
+    for _ in range(n):
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        append(exp(mu + z * sigma))
+    return out
+
+
 def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
     """Generate a manifest from a ladder spec (deterministic for a seed)."""
     rng = random.Random(spec.seed)
@@ -151,9 +173,8 @@ def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
     if spec.burstiness == 0:
         bitrates = [[target] * n for target in spec.target_avg_bitrates]
     else:
-        draw = rng.lognormvariate
         mu, sigma = _lognormal_params(spec.burstiness)
-        shapes = [draw(mu, sigma) for _ in range(n)]
+        shapes = _lognormals(rng, mu, sigma, n)
         for i in range(0, n, BURST_PERIOD):
             shapes[i] *= BURST_FACTOR
         noise_mu, noise_sigma = _lognormal_params(MODEL_ERROR)
@@ -161,9 +182,16 @@ def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
         for k, target in enumerate(spec.target_avg_bitrates):
             row = shapes
             if k != top:
-                row = [s * draw(noise_mu, noise_sigma) for s in shapes]
+                noise = _lognormals(rng, noise_mu, noise_sigma, n)
+                row = [s * e for s, e in zip(shapes, noise)]
             scale = target / (sum(row) / n)
             bitrates.append([b * scale for b in row])
 
-    sizes = [[max(1, round(b * spec.segment_duration)) for b in row] for row in bitrates]
-    return VideoManifest(title, spec.segment_duration, spec.qps, sizes)
+    duration = spec.segment_duration
+    try:
+        sizes = [[max(1, round(b * duration)) for b in row] for row in bitrates]
+    except OverflowError:  # round() of an infinite bitrate * duration
+        raise ValueError(
+            f"segment_duration {duration} s makes a segment size overflow a float"
+        ) from None
+    return VideoManifest(title, duration, spec.qps, sizes)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -272,6 +273,88 @@ class TestFileFormats:
         path.write_text("time_s,bandwidth_kbps\n0,abc\n")
         with pytest.raises(ValueError, match="line 2"):
             load_trace(path)
+
+
+def _json_dump_manifest(manifest: VideoManifest, path) -> None:
+    # the stdlib reference that save_manifest's bytes must equal
+    data = {
+        "title": manifest.title,
+        "segment_duration_s": manifest.segment_duration,
+        "size_unit": "bits",
+        "versions": [
+            {"index": k, "qp": qp, "segment_sizes": list(sizes)}
+            for k, (qp, sizes) in enumerate(zip(manifest.qps, manifest.segment_sizes), start=1)
+        ],
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _csv_writer_trace(trace: BandwidthTrace, path) -> None:
+    # the stdlib reference that save_trace's bytes must equal
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "bandwidth_kbps"])
+        for t, bw in trace.breakpoints:
+            writer.writerow([t, bw / 1000.0])
+
+
+_TITLES = (
+    "sony-like",
+    'a "quoted" title',
+    "back\\slash",
+    "tab\tnew\nline\x00\x1f\x7f",
+    "caf\u00e9 \u2615 \u65e5\u672c \U0001f3ac",
+    "lone \ud800 surrogate",
+    "",
+)
+_SIZES = (1, 10**16 + 1, 2**53 + 1, 5e-324, 1e-05, 0.1, 1 / 3, 1e16, 1e300, 407540.0)
+_DURATIONS = (2, 2.0, 0.5, 1 / 3, 5e-324, 10**15)
+
+
+class TestWritersMatchTheStdlib:
+    """save_manifest and save_trace write what json.dump and csv.writer do."""
+
+    def test_manifest_bytes(self, tmp_path):
+        rng = random.Random(15)
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        for case in range(60):
+            versions = 2 + case % 7
+            segments = 1 if case % 4 == 0 else rng.randint(2, 30)
+            qps = sorted(rng.sample(range(64), versions), reverse=True)
+            sizes = [
+                [
+                    rng.choice(_SIZES)
+                    if rng.random() < 0.3
+                    else rng.choice((rng.randint(1, 10**7), rng.uniform(1.0, 1e7)))
+                    for _ in range(segments)
+                ]
+                for _ in range(versions)
+            ]
+            title = _TITLES[case % len(_TITLES)]
+            m = VideoManifest(title, _DURATIONS[case % len(_DURATIONS)], qps, sizes)
+            save_manifest(m, got)
+            _json_dump_manifest(m, want)
+            assert got.read_bytes() == want.read_bytes(), (title, qps, sizes)
+
+    def test_trace_bytes(self, tmp_path):
+        rng = random.Random(15)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        special = BandwidthTrace(
+            ((0.0, 1e-02), (1e-05, 100.0), (0.1, 1000 / 3), (1 / 3, 1e19), (1e16, 2.5e6))
+        )
+        traces = [special, BandwidthTrace(((0.0, 1.0),))]
+        for _ in range(20):
+            t, breakpoints = 0.0, []
+            for _ in range(rng.randint(1, 50)):
+                breakpoints.append((t, rng.lognormvariate(13.0, 2.0)))
+                t += rng.expovariate(0.1)
+            traces.append(BandwidthTrace(tuple(breakpoints)))
+        for trace in traces:
+            save_trace(trace, got)
+            _csv_writer_trace(trace, want)
+            assert got.read_bytes() == want.read_bytes(), trace
 
 
 def _load_manifest_with(tmp_path, edit):

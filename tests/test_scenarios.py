@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from vbrsim.model import save_manifest
 from vbrsim.scenarios import (
     BURST_PERIOD,
     LADDER_PRESETS,
+    MODEL_ERROR,
     LadderSpec,
     gen_rect_bandwidth,
     gen_vbr_ladder,
@@ -149,6 +152,44 @@ class TestVbrLadder:
         # accepted before, then an OverflowError in gen_vbr_ladder
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             small_spec(**overrides)
+
+    @pytest.mark.parametrize("burstiness", [0.3, 0.0])
+    def test_size_overflow_names_segment_duration(self, burstiness):
+        # a finite duration whose product with a bitrate is not a finite float
+        spec = ladder_preset(
+            "sony-like", segment_duration=1e304, segment_count=10, burstiness=burstiness
+        )
+        with pytest.raises(ValueError, match="segment_duration 1e\\+304 s"):
+            gen_vbr_ladder(spec)
+
+
+@pytest.mark.parametrize(
+    "cv", [0.3, 1.0, MODEL_ERROR, 1e100], ids=["cv0.3", "cv1", "model-error", "large-sigma"]
+)
+def test_lognormals_are_the_stdlib_draws(cv):
+    # the same values bit for bit, and the generator left in the same state
+    mu, sigma = scenarios._lognormal_params(cv)
+    for seed in (0, 7, 123):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert scenarios._lognormals(ours, mu, sigma, 0) == []
+        assert ours.getstate() == ref.getstate()
+        got = scenarios._lognormals(ours, mu, sigma, 2000)
+        assert got == [ref.lognormvariate(mu, sigma) for _ in range(2000)]
+        assert ours.getstate() == ref.getstate()
+
+
+def test_save_manifest_peak_memory_is_below_the_file_size(tmp_path):
+    # written one version at a time: rendering the whole document first
+    # peaks at several times the file size
+    manifest = gen_vbr_ladder(ladder_preset("sony-like", segment_count=20_000))
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save_manifest(manifest, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 # sha256 of the manifest file each preset writes at 300 segments, by
