@@ -21,7 +21,7 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, gt, itemgetter
 from typing import NamedTuple
 
 from . import policies
@@ -98,6 +98,7 @@ def run_session(
     if not 1 <= cfg.start_version <= num_versions:
         raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
     duration = manifest.segment_duration
+    sizes = manifest.segment_sizes
     est = EstimatorState(manifest.qps, cfg)
     # looked up once per session, not per segment; bound here rather than at
     # import, so that a patched policies.decide or method is still called
@@ -107,6 +108,9 @@ def run_session(
     decide = policies.decide
     records = []
     append = records.append
+    # a record is built as the plain tuple it is, without the named-tuple
+    # constructor's argument handling
+    new_record = tuple.__new__
 
     clock = 0.0
     buffer = 0.0
@@ -118,7 +122,7 @@ def run_session(
             clock += buffer - beta_max
             buffer = beta_max
 
-        size = manifest.segment_size(version, index)
+        size = sizes[version - 1][index]
         completion = clock + download_time(trace, clock, size, rtt)
         elapsed = completion - clock
         if elapsed <= 0:
@@ -129,10 +133,17 @@ def run_session(
             )
 
         buffer_before = buffer
-        # playback runs from the first completion on
+        # playback runs from the first completion on: the buffer drains by
+        # elapsed, and any shortfall, -drained (== elapsed - buffer exactly),
+        # is stall
         if index:
-            stall = max(0.0, elapsed - buffer)
-            buffer = max(buffer - elapsed, 0.0)
+            drained = buffer - elapsed
+            if drained < 0.0:
+                stall = -drained
+                buffer = 0.0
+            else:
+                stall = 0.0
+                buffer = drained
         else:
             stall = 0.0
         buffer += duration
@@ -142,15 +153,24 @@ def run_session(
         update_throughput(t_instant)
 
         # ClientView(buffer_level, last_version, last_throughput)
-        decision = decide(ClientView(buffer, version, t_instant), est, cfg)
+        next_version, case_label = decide(ClientView(buffer, version, t_instant), est, cfg)
 
         append(
-            SegmentRecord(
-                index, version, size, clock, completion, t_instant,
-                buffer_before, buffer, decision.case_label, stall,
+            new_record(
+                SegmentRecord,
+                (
+                    index, version, size, clock, completion, t_instant,
+                    buffer_before, buffer, case_label, stall,
+                ),
             )
         )
-        version = decision.next_version
+        if not 1 <= next_version <= num_versions:
+            # version 0 would read the last version's sizes
+            raise ValueError(
+                f"segment {index}: the policy chose version {next_version!r}, "
+                f"out of range 1..{num_versions}"
+            )
+        version = next_version
         clock = completion
 
     return SessionLog(
@@ -222,14 +242,30 @@ def _value_text(records):
     """Yield each block of records as value text, which both writers share.
 
     A record's text is the repr of its nine numbers and its raw ``case`` label.
+    A request time that is the previous record's completion time object, and a
+    buffer_before that is its buffer_after object, as ``run_session`` logs them
+    unless the client idled, reuse that text. Identity, not equality, decides,
+    since 0.0 == -0.0.
     """
     r = repr
+    prev_done = prev_after = object()  # no record holds this object
+    done_text = after_text = ""
     for start in range(0, len(records), _BLOCK):
         block = records[start : start + _BLOCK]
-        yield [
-            (r(i), r(v), r(size), r(req), r(done), r(tput), r(before), r(after), case, r(stall))
-            for i, v, size, req, done, tput, before, after, case, stall in block
-        ]
+        rows = []
+        add = rows.append
+        for i, v, size, req, done, tput, before, after, case, stall in block:
+            req_text = done_text if req is prev_done else r(req)
+            before_text = after_text if before is prev_after else r(before)
+            prev_done, prev_after = done, after
+            done_text, after_text = r(done), r(after)
+            add(
+                (
+                    r(i), r(v), r(size), req_text, done_text, r(tput),
+                    before_text, after_text, case, r(stall),
+                )
+            )
+        yield rows
 
 
 def _jsonl_lines(block) -> str:
@@ -327,6 +363,37 @@ def _block_values(path, block) -> list:
     return [_json_line(path, lineno, line) for lineno, line in block]
 
 
+def _check_meaning(path, columns, num_versions: int) -> None:
+    """Refuse a record that no session logs, naming its line and field.
+
+    Each rule is tested on a whole column at once; only a column that fails
+    is searched for its first bad value.
+    """
+    index, version, size, request, completion, _, before, after, _, stall = columns
+    rules = (
+        # (column, whether all of it passes, its values, test of one, wording)
+        ("index", index == tuple(range(len(index))), index, eq, "the record's position"),
+        (
+            "version", 1 <= min(version) and max(version) <= num_versions, version,
+            lambda i, v: 1 <= v <= num_versions, f"in 1..{num_versions}",
+        ),
+        ("size_bits", min(size) > 0, size, lambda i, v: v > 0, "> 0"),
+        ("buffer_before_s", min(before) >= 0, before, lambda i, v: v >= 0, ">= 0"),
+        ("buffer_after_s", min(after) >= 0, after, lambda i, v: v >= 0, ">= 0"),
+        ("stall_s", min(stall) >= 0, stall, lambda i, v: v >= 0, ">= 0"),
+        (
+            "completion_time_s", all(map(gt, completion, request)), completion,
+            lambda i, v: v > request[i], "> request_time_s",
+        ),
+    )
+    for name, passes, column, test, wording in rules:
+        if not passes:
+            i = next(i for i, value in enumerate(column) if not test(i, value))
+            raise ValueError(
+                f"{path}: line {i + 2}: field {name!r} must be {wording}, got {column[i]!r}"
+            )
+
+
 def load_log_jsonl(path) -> SessionLog:
     records = []
     make_record = SegmentRecord._make
@@ -354,10 +421,12 @@ def load_log_jsonl(path) -> SessionLog:
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
     # whole columns at a time, which is far cheaper than a check per value
-    for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, zip(*records)):
+    columns = tuple(zip(*records))
+    for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, columns):
         if not valid(column, rule):
             i = next(i for i, value in enumerate(column) if not valid((value,), rule))
             raise _value_error(path, i + 2, name, column[i], rule)
+    _check_meaning(path, columns, header["num_versions"])
     return SessionLog(
         records=tuple(records),
         config=config,

@@ -21,6 +21,8 @@ from collections import deque
 
 from .model import QP, ClientConfig, StateError, valid
 
+_append = deque.append
+
 
 def estimate_cross_version_bitrate(
     b_actual: float, qp_from: int, qp_to: int, theta: float
@@ -107,7 +109,7 @@ class EstimatorState:
         scaled = self.theta * b_actual
         row = [scaled * gain for gain in self._gains[received_version - 1]]
         row[received_version - 1] = b_actual
-        for window, value in zip(self._windows, row):
-            window.append(value)
+        # deque.append returns None, so any() runs it on every window
+        any(map(_append, self._windows, row))
         self.latest_bitrates = tuple(row)
         self.segments_seen += 1

@@ -114,14 +114,6 @@ class VideoManifest:
     def num_segments(self) -> int:
         return len(self.segment_sizes[0])
 
-    def segment_size(self, version: int, index: int):
-        """Size in bits of segment ``index`` at ``version`` (1-based version)."""
-        if not 1 <= version <= self.num_versions:
-            raise ValueError(f"version {version} out of range 1..{self.num_versions}")
-        if not 0 <= index < self.num_segments:
-            raise ValueError(f"segment index {index} out of range 0..{self.num_segments - 1}")
-        return self.segment_sizes[version - 1][index]
-
 
 @dataclass(frozen=True)
 class BandwidthTrace:

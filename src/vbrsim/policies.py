@@ -44,8 +44,6 @@ class Decision(NamedTuple):
 
     next_version: int
     case_label: str
-    flexible_threshold: float | None = None
-    target_bitrate: float | None = None
 
 
 def flexible_threshold(
@@ -94,8 +92,6 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     t_est = est.smoothed_throughput
     buffer = view.buffer_level
 
-    threshold = flexible_threshold(t_instant, b_instant, cfg.beta_min, cfg.beta_max)
-
     if buffer > cfg.beta_max:
         nxt = current
         if current < est.num_versions:
@@ -104,11 +100,15 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
             gated = current + 1 if cfg.uptrend_gate == "prose" else current
             if est._rep_bitrate(gated) < t_est:
                 nxt = current + 1
-        return Decision(nxt, CASE_UPTREND, threshold)
+        return Decision(nxt, CASE_UPTREND)
 
+    # computed only at or below beta_max, where it is read. Stable is tested
+    # before panic, as in the paper: where the threshold rounds below
+    # beta_min, a buffer between the two is stable
+    threshold = flexible_threshold(t_instant, b_instant, cfg.beta_min, cfg.beta_max)
     if buffer >= threshold:
         # includes buffer == beta_max: a full buffer is no reason to switch
-        return Decision(current, CASE_STABLE, threshold)
+        return Decision(current, CASE_STABLE)
 
     if buffer >= cfg.beta_min:
         reps = est.rep_bitrates
@@ -120,14 +120,13 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
             else:
                 nxt = max(current - 1, 1)
         else:
-            target = None
             nxt = max(current - 1, 1)
-        return Decision(nxt, CASE_DOWNTREND, threshold, target)
+        return Decision(nxt, CASE_DOWNTREND)
 
     # quality increases are reserved for the uptrend regime, so the panic
     # choice never exceeds the current version
     nxt = min(select_panic_version(est.latest_bitrates, t_instant), current)
-    return Decision(nxt, CASE_PANIC, threshold)
+    return Decision(nxt, CASE_PANIC)
 
 
 def itb_decide(view: ClientView, est: EstimatorState) -> Decision:

@@ -161,6 +161,11 @@ def test_criterion_6_structural_invariants():
                         combo,
                         rec.index,
                     )
+                # a stable buffer keeps the version, and panic never raises it
+                if rec.case_label == "stable":
+                    assert nxt.version_requested == rec.version_requested, (combo, rec.index)
+                if rec.case_label == "panic":
+                    assert nxt.version_requested <= rec.version_requested, (combo, rec.index)
             for rec in log.records:
                 # exactly one regime label per decision, consistent with the
                 # buffer ranges that do not depend on the flexible threshold

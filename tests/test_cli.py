@@ -387,6 +387,46 @@ def _huge_index(header, records):
             id="huge-int-theta",
         ),
         pytest.param(_huge_index, "line 7: malformed log", id="huge-digits-index"),
+        # values of the right type that no session logs; fmean once overflowed on the first
+        pytest.param(
+            lambda h, r: r[250].update(version=10**400),
+            "line 252: field 'version' must be in 1..6",
+            id="huge-int-version",
+        ),
+        pytest.param(
+            lambda h, r: r[100].update(version=7), "line 102: field 'version'",
+            id="version-above-count",
+        ),
+        pytest.param(
+            lambda h, r: r[100].update(version=-5), "line 102: field 'version'",
+            id="negative-version",
+        ),
+        pytest.param(
+            lambda h, r: r[5].update(index=7),
+            "line 7: field 'index' must be the record's position",
+            id="index-not-position",
+        ),
+        pytest.param(
+            lambda h, r: r[9].update(size_bits=-1), "line 11: field 'size_bits' must be > 0",
+            id="negative-size",
+        ),
+        pytest.param(
+            lambda h, r: r[30].update(buffer_before_s=-1.5), "line 32: field 'buffer_before_s'",
+            id="negative-buffer-before",
+        ),
+        pytest.param(
+            lambda h, r: r[30].update(buffer_after_s=-3.0), "line 32: field 'buffer_after_s'",
+            id="negative-buffer-after",
+        ),
+        pytest.param(
+            lambda h, r: r[30].update(stall_s=-0.5), "line 32: field 'stall_s' must be >= 0",
+            id="negative-stall",
+        ),
+        pytest.param(
+            lambda h, r: r[20].update(completion_time_s=r[20]["request_time_s"]),
+            "line 22: field 'completion_time_s' must be > request_time_s",
+            id="completion-not-after-request",
+        ),
         pytest.param(lambda h, r: _NOT_UTF8, "codec can't decode", id="non-utf8-log"),
         pytest.param(
             lambda h, r: _bad_byte_on_line_101(_jsonl(h, r).splitlines()), _LINE_101,

@@ -1,9 +1,12 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import random
+import re
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +206,16 @@ class TestRunSessionSteadyState:
         with pytest.raises(ValueError):
             run_session(m, constant_trace(3e6), ClientConfig(start_version=7))
 
+    def test_policy_version_out_of_range_names_the_segment(self, monkeypatch):
+        # version 0 would otherwise read the last version's sizes, and V + 1 past the end
+        m = cbr_manifest()
+        for chosen in (0, m.num_versions + 1):
+            choice = policies.Decision(chosen, "stable")
+            monkeypatch.setattr(policies, "decide", lambda view, est, cfg: choice)
+            message = f"segment 0: the policy chose version {chosen}, out of range 1..6"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
+
     def test_policy_consulted_every_segment(self, monkeypatch):
         m = cbr_manifest(segments=25)
         calls = []
@@ -242,26 +255,33 @@ class TestInformationBarrier:
 
     def test_engine_reads_only_requested_sizes(self):
         inner = gen_vbr_ladder(ladder_preset("sony-like", segment_count=60))
+        accessed = set()
 
-        class TripwireManifest:
-            def __init__(self, m):
-                self._m = m
-                self.accessed = set()
-                self.title = m.title
-                self.segment_duration = m.segment_duration
-                self.num_versions = m.num_versions
-                self.num_segments = m.num_segments
-                self.qps = m.qps
+        class RecordingRow(tuple):
+            """One version's sizes, recording each index read."""
 
-            def segment_size(self, version, index):
-                self.accessed.add((version, index))
-                return self._m.segment_size(version, index)
+            def __getitem__(self, index):
+                accessed.add((self.version, index))
+                return tuple.__getitem__(self, index)
 
-        wrapped = TripwireManifest(inner)
+        rows = []
+        for version, sizes in enumerate(inner.segment_sizes, start=1):
+            row = RecordingRow(sizes)
+            row.version = version
+            rows.append(row)
+        wrapped = SimpleNamespace(
+            title=inner.title,
+            segment_duration=inner.segment_duration,
+            num_versions=inner.num_versions,
+            num_segments=inner.num_segments,
+            qps=inner.qps,
+            segment_sizes=tuple(rows),
+        )
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 40, 30, 130)
         log = run_session(wrapped, trace, ClientConfig(window_n=10))
         requested = {(r.version_requested, r.index) for r in log.records}
-        assert wrapped.accessed == requested
+        assert accessed == requested
+        assert log == run_session(inner, trace, ClientConfig(window_n=10))
 
 
 def _dumps_jsonl(log):
@@ -277,6 +297,15 @@ def _dumps_jsonl(log):
     lines = [json.dumps(header, sort_keys=True)]
     lines += [json.dumps(dict(zip(LOG_COLUMNS, rec))) for rec in log.records]
     return "\n".join(lines) + "\n"
+
+
+def _csv_writer_bytes(log):
+    """The CSV log as csv.writer writes it."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(LOG_COLUMNS)
+    writer.writerows(log.records)
+    return text.getvalue().encode()
 
 
 class TestLogSerialization:
@@ -407,6 +436,35 @@ class TestLogSerialization:
             assert csv_path.read_bytes() == (tmp_path / "one.csv").read_bytes() == oracle
             assert jsonl.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
             assert jsonl.read_text() == _dumps_jsonl(log)
+
+    def test_reused_text_matches_the_stdlib_writers(self, tmp_path):
+        # a record's request time is the previous completion time object, and
+        # its buffer_before the previous buffer_after object, unless the client
+        # idled; then both are new objects
+        m = cbr_manifest(bitrates_kbps=(500, 1000), segments=80)
+        trace = BandwidthTrace(((0.0, 5e6), (40.0, 100e3), (150.0, 5e6)))
+        log = run_session(m, trace, ClientConfig(window_n=10, beta_min=5.0, beta_max=20.0))
+        pairs = list(zip(log.records, log.records[1:]))
+        reused = [b.request_time is a.completion_time for a, b in pairs]
+        assert reused == [b.buffer_before is a.buffer_after for a, b in pairs]
+        assert any(reused) and not all(reused)
+        assert any(r.stall_time > 0 for r in log.records)
+        save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
+        assert (tmp_path / "log.jsonl").read_text() == _dumps_jsonl(log)
+        assert (tmp_path / "log.csv").read_bytes() == _csv_writer_bytes(log)
+
+    def test_text_is_reused_by_identity_not_equality(self, tmp_path):
+        # 0.0 == -0.0, but json.dumps and csv.writer write them differently
+        first, second, third = synthetic_log([1, 2, 1]).records
+        first = first._replace(completion_time=0.0, buffer_after=0.0)
+        second = second._replace(request_time=-0.0, buffer_before=-0.0, completion_time=1.5)
+        third = third._replace(request_time=second.completion_time)
+        log = replace(synthetic_log([1, 2, 1]), records=(first, second, third))
+        save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
+        text = (tmp_path / "log.jsonl").read_text()
+        assert text == _dumps_jsonl(log)
+        assert '"request_time_s": -0.0' in text and '"buffer_before_s": -0.0' in text
+        assert (tmp_path / "log.csv").read_bytes() == _csv_writer_bytes(log)
 
     def test_save_logs_writes_recorded_bytes(self, tmp_path):
         # sha256 of (.jsonl, .csv) for sessions the README quick start does not

@@ -33,26 +33,17 @@ def make_manifest(sizes_by_version=None, duration=2.0):
 class TestSegmentBitrate:
     def test_direct_division(self):
         m = make_manifest()
-        assert m.segment_size(2, 0) / m.segment_duration == 2_000_000.0
+        assert m.segment_sizes[1][0] / m.segment_duration == 2_000_000.0
 
     def test_low_version_average_scale(self):
         # 407,540 bits over 2 s lands on the ~204 kbps ladder rung
         m = make_manifest()
-        assert m.segment_size(1, 1) / m.segment_duration == pytest.approx(203_770.0)
+        assert m.segment_sizes[0][1] / m.segment_duration == pytest.approx(203_770.0)
 
     def test_zero_size_rejected_at_construction(self):
         for bad in (0, math.nan, math.inf, -math.inf, "100", None):
             with pytest.raises(ValueError, match="size"):
                 make_manifest([(bad, 100), (200, 200)])
-
-    def test_out_of_range(self):
-        m = make_manifest()
-        with pytest.raises(ValueError):
-            m.segment_size(3, 0)
-        with pytest.raises(ValueError):
-            m.segment_size(0, 0)
-        with pytest.raises(ValueError):
-            m.segment_size(1, 2)
 
 
 class TestManifestInvariants:
@@ -230,8 +221,7 @@ class TestFileFormats:
             ],
         }
         m = manifest_from_dict(data)
-        assert m.segment_size(1, 0) == 800
-        assert m.segment_size(2, 0) == 1600
+        assert m.segment_sizes == ((800,), (1600,))
 
     def test_manifest_missing_field_names_it(self):
         with pytest.raises(ValueError, match="qp"):

@@ -156,7 +156,7 @@ class TestAvgDecide:
         d = avg_decide(view, est, ClientConfig())
         assert d.case_label == "stable"
         assert d.next_version == 4
-        assert d.flexible_threshold == pytest.approx(30.0)
+        assert flexible_threshold(1000e3, est.latest_bitrates[3], 10, 50) == pytest.approx(30.0)
 
     def test_buffer_exactly_at_target_is_stable(self):
         view = make_view(buffer_level=50, last_version=4, t_instant=1000e3)
@@ -180,7 +180,6 @@ class TestAvgDecide:
         d = avg_decide(view, est, ClientConfig())
         assert d.case_label == "downtrend"
         assert d.next_version == 3
-        assert d.target_bitrate == pytest.approx(610e3)
 
     def test_downtrend_maintains_under_target(self):
         view = make_view(buffer_level=20, last_version=3, t_instant=700e3)
@@ -203,7 +202,6 @@ class TestAvgDecide:
         d = avg_decide(view, est, ClientConfig())
         assert d.case_label == "downtrend"
         assert d.next_version == 2
-        assert d.target_bitrate is None
 
     def test_downtrend_clamps_at_version_one(self):
         view = make_view(buffer_level=20, last_version=1, t_instant=100e3)
@@ -253,11 +251,12 @@ class TestAvgDecide:
             t = rng.uniform(1e5, 5e6)
             latest = sorted(rng.uniform(1e5, 6e6) for _ in range(6))
             reps = sorted(rng.uniform(1e5, 6e6) for _ in range(6))
-            view = make_view(buffer_level=buffer, last_version=rng.randint(1, 6), t_instant=t)
+            current = rng.randint(1, 6)
+            view = make_view(buffer_level=buffer, last_version=current, t_instant=t)
             est = make_est(reps=reps, latest=latest, smoothed=rng.uniform(1e5, 5e6))
             d = avg_decide(view, est, cfg)
             assert d.case_label in AVG_CASES
-            th = d.flexible_threshold
+            th = flexible_threshold(t, latest[current - 1], cfg.beta_min, cfg.beta_max)
             assert cfg.beta_min < th < cfg.beta_max
             if buffer > cfg.beta_max:
                 assert d.case_label == "uptrend"
