@@ -21,13 +21,14 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import eq, gt, itemgetter
+from operator import gt, itemgetter
 from typing import NamedTuple
 
 from . import policies
 from .estimators import EstimatorState
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
-from .model import COUNT, INTEGER, NUMBER, POSITIVE, STRING, valid
+from .model import COUNT, INTEGER, NONNEGATIVE, NUMBER, POSITIVE, STRING
+from .model import first_invalid, int_range, one_of, valid
 
 
 class SegmentRecord(NamedTuple):
@@ -220,12 +221,6 @@ _case_label = itemgetter(LOG_COLUMNS.index("case"))
 _BLOCK = 64
 
 
-# The rule a logged case label must meet; model holds the others
-_CASE = (frozenset({str}), _CASES.issuperset, f"one of {sorted(_CASES)}")
-_COLUMN_RULES = tuple(
-    {"index": INTEGER, "version": INTEGER, "case": _CASE}.get(column, NUMBER)
-    for column in LOG_COLUMNS
-)
 # (header key, SessionLog field, rule); the header also holds "config"
 _HEADER_FIELDS = (
     ("manifest_title", "manifest_title", STRING),
@@ -333,8 +328,8 @@ def _check_keys(obj, keys, where: str) -> None:
             raise ValueError(f"{where}: unknown field {key!r}")
 
 
-def _value_error(path, lineno: int, name: str, value, rule) -> ValueError:
-    return ValueError(f"{path}: line {lineno}: field {name!r} must be {rule[2]}, got {value!r}")
+def _value_error(path, lineno: int, name: str, value, wording: str) -> ValueError:
+    return ValueError(f"{path}: line {lineno}: field {name!r} must be {wording}, got {value!r}")
 
 
 def _json_line(path, lineno: int, line: str):
@@ -363,37 +358,6 @@ def _block_values(path, block) -> list:
     return [_json_line(path, lineno, line) for lineno, line in block]
 
 
-def _check_meaning(path, columns, num_versions: int) -> None:
-    """Refuse a record that no session logs, naming its line and field.
-
-    Each rule is tested on a whole column at once; only a column that fails
-    is searched for its first bad value.
-    """
-    index, version, size, request, completion, _, before, after, _, stall = columns
-    rules = (
-        # (column, whether all of it passes, its values, test of one, wording)
-        ("index", index == tuple(range(len(index))), index, eq, "the record's position"),
-        (
-            "version", 1 <= min(version) and max(version) <= num_versions, version,
-            lambda i, v: 1 <= v <= num_versions, f"in 1..{num_versions}",
-        ),
-        ("size_bits", min(size) > 0, size, lambda i, v: v > 0, "> 0"),
-        ("buffer_before_s", min(before) >= 0, before, lambda i, v: v >= 0, ">= 0"),
-        ("buffer_after_s", min(after) >= 0, after, lambda i, v: v >= 0, ">= 0"),
-        ("stall_s", min(stall) >= 0, stall, lambda i, v: v >= 0, ">= 0"),
-        (
-            "completion_time_s", all(map(gt, completion, request)), completion,
-            lambda i, v: v > request[i], "> request_time_s",
-        ),
-    )
-    for name, passes, column, test, wording in rules:
-        if not passes:
-            i = next(i for i, value in enumerate(column) if not test(i, value))
-            raise ValueError(
-                f"{path}: line {i + 2}: field {name!r} must be {wording}, got {column[i]!r}"
-            )
-
-
 def load_log_jsonl(path) -> SessionLog:
     records = []
     make_record = SegmentRecord._make
@@ -407,7 +371,7 @@ def load_log_jsonl(path) -> SessionLog:
     _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
     for key, _, rule in _HEADER_FIELDS:
         if not valid((header[key],), rule):
-            raise _value_error(path, 1, key, header[key], rule)
+            raise _value_error(path, 1, key, header[key], rule[2])
     try:
         config = ClientConfig(**header["config"])
     except (TypeError, ValueError) as exc:
@@ -420,13 +384,25 @@ def load_log_jsonl(path) -> SessionLog:
         records.extend(map(make_record, map(_column_values, rows)))
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
-    # whole columns at a time, which is far cheaper than a check per value
+    cases = (policies.CASE_ITB,) if config.policy == "itb" else policies.AVG_CASES
+    # one rule per column, in LOG_COLUMNS order, each tested on a whole column
+    rules = (
+        INTEGER, int_range(1, header["num_versions"]), POSITIVE, NUMBER, NUMBER, NUMBER,
+        NONNEGATIVE, NONNEGATIVE, one_of(cases), NONNEGATIVE,
+    )
     columns = tuple(zip(*records))
-    for name, rule, column in zip(LOG_COLUMNS, _COLUMN_RULES, columns):
-        if not valid(column, rule):
-            i = next(i for i, value in enumerate(column) if not valid((value,), rule))
-            raise _value_error(path, i + 2, name, column[i], rule)
-    _check_meaning(path, columns, header["num_versions"])
+    for name, rule, column in zip(LOG_COLUMNS, rules, columns):
+        i = first_invalid(column, rule)
+        if i is not None:
+            raise _value_error(path, i + 2, name, column[i], rule[2])
+    # the two checks that read more than one value
+    index, _, _, request, completion = columns[:5]
+    if index != tuple(range(len(index))):
+        i = next(i for i, value in enumerate(index) if value != i)
+        raise _value_error(path, i + 2, "index", index[i], "the record's position")
+    if not all(map(gt, completion, request)):
+        i = next(i for i, (done, req) in enumerate(zip(completion, request)) if not done > req)
+        raise _value_error(path, i + 2, "completion_time_s", completion[i], "> request_time_s")
     return SessionLog(
         records=tuple(records),
         config=config,

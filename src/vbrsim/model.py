@@ -31,18 +31,34 @@ def _finite(values) -> bool:
         return False
 
 
-# What a value read from a manifest, a session log or a ClientConfig must be:
-# (exact types allowed, test on all values, wording). Types are exact, as JSON
-# true/false are bools and bool is an int; _finite refuses an int too large for
-# a float, on which a session's arithmetic would overflow.
+# What a value read from a manifest, a session log, a ClientConfig or a
+# generator's parameters must be: (exact types allowed, test on all values,
+# wording). Types are exact, as JSON true/false are bools and bool is an int;
+# _finite refuses an int too large for a float, on which a session's
+# arithmetic would overflow.
 STRING = (frozenset({str}), None, "a string")
 INTEGER = (frozenset({int}), None, "an integer")
 NUMBER = (frozenset({int, float}), _finite, "a finite number")
 POSITIVE = (frozenset({int, float}), lambda v: _finite(v) and min(v) > 0, "a finite number > 0")
+NONNEGATIVE = (
+    frozenset({int, float}), lambda v: _finite(v) and min(v) >= 0, "a finite number >= 0"
+)
 COUNT = (frozenset({int}), lambda v: min(v) >= 1, "an integer >= 1")
+
+
+def int_range(lo: int, hi: int) -> tuple:
+    """The rule of an int in ``lo..hi``."""
+    return (frozenset({int}), lambda v: min(v) >= lo and max(v) <= hi, f"an int in {lo}..{hi}")
+
+
+def one_of(names) -> tuple:
+    """The rule of a string that is one of ``names``."""
+    return (frozenset({str}), frozenset(names).issuperset, f"one of {sorted(names)}")
+
+
 # The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
 # projection, 2 ** (QP gap / 6), finite.
-QP = (frozenset({int}), lambda v: min(v) >= 0 and max(v) <= 63, "an int in 0..63")
+QP = int_range(0, 63)
 
 
 def valid(values, rule) -> bool:
@@ -51,7 +67,19 @@ def valid(values, rule) -> bool:
     return set(map(type, values)) <= types and (test is None or test(values))
 
 
-def _check(value, rule, name: str) -> None:
+def first_invalid(values, rule):
+    """The position of the first of ``values`` that does not meet ``rule``, or None.
+
+    The rule is tested on all of ``values`` at once, which is far cheaper than
+    a test per value; only values that fail are searched one by one.
+    """
+    if valid(values, rule):
+        return None
+    return next(i for i, value in enumerate(values) if not valid((value,), rule))
+
+
+def check(value, rule, name: str) -> None:
+    """Raise ValueError, starting with ``name``, unless ``value`` meets ``rule``."""
     if not valid((value,), rule):
         raise ValueError(f"{name} must be {rule[2]}, got {value!r}")
 
@@ -71,8 +99,8 @@ class VideoManifest:
     segment_sizes: tuple
 
     def __post_init__(self):
-        _check(self.title, STRING, "title")
-        _check(self.segment_duration, POSITIVE, "segment_duration")
+        check(self.title, STRING, "title")
+        check(self.segment_duration, POSITIVE, "segment_duration")
         qps = tuple(self.qps)
         if len(qps) < 2:
             raise ValueError("manifest needs at least 2 versions")
@@ -83,16 +111,16 @@ class VideoManifest:
             )
         rows = []
         for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
-            _check(qp, QP, f"version {k}: qp")
+            check(qp, QP, f"version {k}: qp")
             if not isinstance(sizes, (list, tuple)):
                 raise ValueError(
                     f"version {k}: segment_sizes must be a list, got {type(sizes).__name__}"
                 )
             if not sizes:
                 raise ValueError(f"version {k} has no segments")
-            if not valid(sizes, POSITIVE):
-                i = next(i for i, size in enumerate(sizes) if not valid((size,), POSITIVE))
-                _check(sizes[i], POSITIVE, f"version {k} segment {i}: size")
+            i = first_invalid(sizes, POSITIVE)
+            if i is not None:
+                check(sizes[i], POSITIVE, f"version {k} segment {i}: size")
             rows.append(tuple(sizes))
         counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
@@ -148,13 +176,13 @@ class BandwidthTrace:
         return tuple(t for t, _ in self.breakpoints)
 
 
-_POLICIES = ("avg", "itb")
 UPTREND_GATES = ("prose", "pseudocode")
-# The rule each ClientConfig field must meet
+# The rule each ClientConfig field must meet; the estimator's deque window
+# takes at most sys.maxsize items
 _CONFIG_RULES = {
-    "beta_min": POSITIVE, "beta_max": POSITIVE, "window_n": COUNT, "delta": POSITIVE,
-    "theta": POSITIVE, "rtt": NUMBER, "start_version": COUNT, "policy": STRING,
-    "uptrend_gate": STRING,
+    "beta_min": POSITIVE, "beta_max": POSITIVE, "window_n": int_range(1, sys.maxsize),
+    "delta": POSITIVE, "theta": POSITIVE, "rtt": NONNEGATIVE, "start_version": COUNT,
+    "policy": one_of(("avg", "itb")), "uptrend_gate": one_of(UPTREND_GATES),
 }
 
 
@@ -183,22 +211,11 @@ class ClientConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check(getattr(self, f.name), _CONFIG_RULES[f.name], f.name)
+            check(getattr(self, f.name), _CONFIG_RULES[f.name], f.name)
         if not self.beta_min < self.beta_max:
-            raise ValueError(f"need beta_min < beta_max, got ({self.beta_min}, {self.beta_max})")
-        # the estimator's deque window takes at most sys.maxsize items
-        if self.window_n > sys.maxsize:
-            raise ValueError(f"window_n must be in 1..{sys.maxsize}, got {self.window_n}")
+            raise ValueError(f"beta_min must be < beta_max {self.beta_max}, got {self.beta_min}")
         if self.delta > 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.rtt < 0:
-            raise ValueError(f"rtt must be >= 0, got {self.rtt}")
-        if self.policy not in _POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}, expected one of {_POLICIES}")
-        if self.uptrend_gate not in UPTREND_GATES:
-            raise ValueError(
-                f"unknown uptrend_gate {self.uptrend_gate!r}, expected one of {UPTREND_GATES}"
-            )
 
 
 class ClientView(NamedTuple):
@@ -238,8 +255,7 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
     title = _require(data, "title", where)
     duration = _require(data, "segment_duration_s", where)
     unit = _require(data, "size_unit", where)
-    if unit not in ("bits", "bytes"):
-        raise ValueError(f"{where}: size_unit must be 'bits' or 'bytes', got {unit!r}")
+    check(unit, one_of(("bits", "bytes")), f"{where}: size_unit")
     raw_versions = _require(data, "versions", where)
     if not isinstance(raw_versions, list):
         raise ValueError(f"{where}: versions must be a list, got {type(raw_versions).__name__}")

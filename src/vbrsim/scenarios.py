@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass, replace
 from random import NV_MAGICCONST
 
-from .model import NUMBER, POSITIVE, BandwidthTrace, VideoManifest, valid
+from .model import NUMBER, POSITIVE, BandwidthTrace, VideoManifest, check, first_invalid
+from .model import int_range, one_of, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -55,20 +56,13 @@ class LadderSpec:
             )
         if any(hi >= lo for lo, hi in zip(self.qps, self.qps[1:])):
             raise ValueError(f"qps must strictly decrease with version index, got {self.qps}")
-        if not valid(self.target_avg_bitrates, POSITIVE):
-            raise ValueError(
-                f"target bitrates must be finite and > 0, got {self.target_avg_bitrates}"
-            )
+        i = first_invalid(self.target_avg_bitrates, POSITIVE)
+        if i is not None:
+            check(self.target_avg_bitrates[i], POSITIVE, "target bitrates")
         if any(b <= a for a, b in zip(self.target_avg_bitrates, self.target_avg_bitrates[1:])):
             raise ValueError("target bitrates must strictly increase with version index")
-        if not 1 <= self.segment_count <= MAX_LADDER_SEGMENTS:
-            raise ValueError(
-                f"segment_count must be in 1..{MAX_LADDER_SEGMENTS}, got {self.segment_count}"
-            )
-        if not valid((self.segment_duration,), POSITIVE):
-            raise ValueError(
-                f"segment_duration must be finite and > 0, got {self.segment_duration}"
-            )
+        check(self.segment_count, int_range(1, MAX_LADDER_SEGMENTS), "segment_count")
+        check(self.segment_duration, POSITIVE, "segment_duration")
         # the log-normal variance log(1 + cv**2) needs a finite square
         if not (self.burstiness >= 0 and valid((self.burstiness * self.burstiness,), NUMBER)):
             raise ValueError(
@@ -104,8 +98,7 @@ LADDER_PRESETS = {
 
 def ladder_preset(name: str, **overrides) -> LadderSpec:
     """A named preset, optionally with fields overridden."""
-    if name not in LADDER_PRESETS:
-        raise ValueError(f"unknown preset {name!r}, expected one of {sorted(LADDER_PRESETS)}")
+    check(name, one_of(LADDER_PRESETS), "preset")
     return replace(LADDER_PRESETS[name], **overrides)
 
 
@@ -120,8 +113,7 @@ def gen_rect_bandwidth(
         ("period_low", period_low),
         ("total", total),
     ):
-        if not valid((val,), POSITIVE):
-            raise ValueError(f"{name} must be finite and > 0, got {val}")
+        check(val, POSITIVE, name)
     if total / (period_high + period_low) > MAX_RECT_BREAKPOINTS / 2:
         raise ValueError(
             f"total {total} s with period_high {period_high} s and period_low {period_low} s"

@@ -390,7 +390,7 @@ def _huge_index(header, records):
         # values of the right type that no session logs; fmean once overflowed on the first
         pytest.param(
             lambda h, r: r[250].update(version=10**400),
-            "line 252: field 'version' must be in 1..6",
+            "line 252: field 'version' must be an int in 1..6",
             id="huge-int-version",
         ),
         pytest.param(
@@ -407,7 +407,8 @@ def _huge_index(header, records):
             id="index-not-position",
         ),
         pytest.param(
-            lambda h, r: r[9].update(size_bits=-1), "line 11: field 'size_bits' must be > 0",
+            lambda h, r: r[9].update(size_bits=-1),
+            "line 11: field 'size_bits' must be a finite number > 0",
             id="negative-size",
         ),
         pytest.param(
@@ -419,7 +420,8 @@ def _huge_index(header, records):
             id="negative-buffer-after",
         ),
         pytest.param(
-            lambda h, r: r[30].update(stall_s=-0.5), "line 32: field 'stall_s' must be >= 0",
+            lambda h, r: r[30].update(stall_s=-0.5),
+            "line 32: field 'stall_s' must be a finite number >= 0",
             id="negative-stall",
         ),
         pytest.param(
@@ -444,7 +446,10 @@ def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
     raw = mutate(header, records)
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(raw if isinstance(raw, bytes) else _jsonl(header, records).encode())
+    _assert_stats_refuses(bad, field)
 
+
+def _assert_stats_refuses(bad, field):
     env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "vbrsim.cli", "stats", "--log", str(bad)],
@@ -456,6 +461,27 @@ def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
     assert str(bad) in proc.stderr
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "policy, log, label, allowed",
+    [
+        ("avg", "avg-30.jsonl", "itb", "['downtrend', 'panic', 'stable', 'uptrend']"),
+        ("itb", "itb.jsonl", "panic", "['itb']"),
+    ],
+    ids=["itb-in-avg-log", "panic-in-itb-log"],
+)
+def test_stats_rejects_a_case_outside_the_policy(inputs, tmp_path, policy, log, label, allowed):
+    # a label that some policy logs, but not the one the header names
+    manifest, trace = inputs
+    out = tmp_path / "out"
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+    assert main([*args, "--policy", policy]) == 0
+    header, *records = (json.loads(line) for line in (out / log).read_text().splitlines())
+    records[99]["case"] = label
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_jsonl(header, records))
+    _assert_stats_refuses(bad, f"line 101: field 'case' must be one of {allowed}, got {label!r}")
 
 
 def _set_size(value):

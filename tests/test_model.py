@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from tests_support import synthetic_log
@@ -183,6 +184,16 @@ class TestClientConfig:
             "policy": (1, None),
             "uptrend_gate": (True,),
         }
+        out_of_range = {
+            "beta_min": 60.0,  # not below beta_max
+            "window_n": sys.maxsize + 1,
+            "rtt": -1.0,
+            "delta": 2.0,
+            "policy": "bogus",
+            "uptrend_gate": "x",
+        }
+        for name, value in out_of_range.items():
+            bad[name] += (value,)
         for name, values in bad.items():
             for value in values:
                 with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -2,7 +2,6 @@
 every per-segment call must reach the patched name."""
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -10,19 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from tests_support import TRACER, load_tracer
 
 import vbrsim
 from vbrsim.cli import main
-
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # loads the names; install() is never called
-    return tracer
-
 
 def test_tracer_patch_names_resolve():
     tracer = load_tracer()

@@ -1,21 +1,18 @@
 """Every public top-level function and class in vbrsim has a reader outside the tests."""
 
 import ast
-import importlib.util
 from pathlib import Path
+
+from tests_support import load_tracer
 
 import vbrsim
 
 SOURCES = sorted(Path(vbrsim.__file__).parent.glob("*.py"))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _traced():
     """(module, top-level name) of each function the benchmark's tracer patches."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # loads the names; install() is never called
-    return {tuple(name.split(".")[:2]) for name in tracer.FUNCTIONS}
+    return {tuple(name.split(".")[:2]) for name in load_tracer().FUNCTIONS}
 
 
 def test_every_public_name_is_read_exported_or_traced():

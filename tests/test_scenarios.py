@@ -59,7 +59,7 @@ class TestRectBandwidth:
 
     def test_rejects_an_int_too_large_for_a_float(self):
         # 10**400 is finite as an int but overflows once made a float
-        with pytest.raises(ValueError, match="high must be finite and > 0"):
+        with pytest.raises(ValueError, match="high must be a finite number > 0"):
             gen_rect_bandwidth(10**400, 1e5, 10, 10, 100)
 
 
@@ -150,7 +150,7 @@ class TestVbrLadder:
     )
     def test_rejects_an_int_too_large_for_a_float(self, overrides, field):
         # accepted before, then an OverflowError in gen_vbr_ladder
-        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
             small_spec(**overrides)
 
     @pytest.mark.parametrize("burstiness", [0.3, 0.0])

@@ -1,0 +1,139 @@
+"""Where the paper's stability claim holds, on a seeded grid fixed in advance.
+
+The abstract claims "quality stability as well as buffer stability even under
+very strong variations of bandwidth and video bitrates". The README scenario
+tests that on one ladder and one trace. This grid runs ITB, AVG-30 and AVG-10
+on 600-segment sony-like ladders (seeds 0..3, burstiness 0, 0.3 and 1.0) over
+two traces: the README rect trace, and the benchmark's two-state Markov
+outage trace, drawn from the ladder's seed as the dense_trace workload does.
+For each case it pins how the three policies rank by number of switches, by
+switch-degree STD and by total stall, whether the ranking favours AVG-N or
+not. Changing a pinned ranking needs a CHANGES.md line that says why.
+"""
+
+from tests_support import load_perfbench
+
+from vbrsim import ClientConfig, compute_stats, gen_rect_bandwidth, gen_vbr_ladder
+from vbrsim import ladder_preset, run_session
+
+POLICIES = {
+    "ITB": ClientConfig(policy="itb"),
+    "AVG-30": ClientConfig(window_n=30),
+    "AVG-10": ClientConfig(window_n=10),
+}
+BURSTINESS = (0.0, 0.3, 1.0)
+SEEDS = range(4)
+SEGMENTS = 600
+
+
+def _ranking(values: dict) -> str:
+    """The labels of ``values`` from lowest to highest value; "=" joins ties."""
+    ranked = sorted(values, key=values.get)
+    text = ranked[0]
+    for lower, label in zip(ranked, ranked[1:]):
+        text += (" = " if values[label] == values[lower] else " < ") + label
+    return text
+
+
+def _orderings() -> dict:
+    workloads = load_perfbench("workloads")
+    rect = gen_rect_bandwidth(2500e3, 500e3, 120.0, 60.0, 600.0)
+    out = {}
+    for burstiness in BURSTINESS:
+        for seed in SEEDS:
+            spec = ladder_preset(
+                "sony-like", segment_count=SEGMENTS, seed=seed, burstiness=burstiness
+            )
+            manifest = gen_vbr_ladder(spec)
+            for name, trace in (("rect", rect), ("markov", workloads.markov_trace(seed))):
+                stats = {
+                    label: compute_stats(run_session(manifest, trace, cfg))
+                    for label, cfg in POLICIES.items()
+                }
+                out[(name, burstiness, seed)] = tuple(
+                    _ranking({label: getattr(s, metric) for label, s in stats.items()})
+                    for metric in ("num_switches", "std_switch_degrees", "total_stall")
+                )
+    return out
+
+
+# (trace, burstiness, ladder seed): the policies ranked, lowest first, by
+# number of switches, by switch-degree STD and by total stall
+PINNED = {
+    ("rect", 0.0, 0): (
+        "ITB = AVG-10 < AVG-30", "AVG-10 < AVG-30 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.0, 1): (
+        "ITB = AVG-10 < AVG-30", "AVG-10 < AVG-30 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.0, 2): (
+        "ITB = AVG-10 < AVG-30", "AVG-10 < AVG-30 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.0, 3): (
+        "ITB = AVG-10 < AVG-30", "AVG-10 < AVG-30 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.3, 0): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.3, 1): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.3, 2): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 0.3, 3): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB = AVG-30 = AVG-10"
+    ),
+    ("rect", 1.0, 0): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("rect", 1.0, 1): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB"
+    ),
+    ("rect", 1.0, 2): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("rect", 1.0, 3): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("markov", 0.0, 0): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB < AVG-30 = AVG-10"
+    ),
+    ("markov", 0.0, 1): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB < AVG-30 = AVG-10"
+    ),
+    ("markov", 0.0, 2): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("markov", 0.0, 3): (
+        "AVG-30 = AVG-10 < ITB", "AVG-30 = AVG-10 < ITB", "ITB < AVG-30 = AVG-10"
+    ),
+    ("markov", 0.3, 0): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-10 < AVG-30 < ITB"
+    ),
+    ("markov", 0.3, 1): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "ITB < AVG-30 = AVG-10"
+    ),
+    ("markov", 0.3, 2): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-10 < AVG-30 < ITB"
+    ),
+    ("markov", 0.3, 3): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "ITB < AVG-10 < AVG-30"
+    ),
+    ("markov", 1.0, 0): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("markov", 1.0, 1): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 = AVG-10 < ITB"
+    ),
+    ("markov", 1.0, 2): (
+        "AVG-30 < AVG-10 < ITB", "AVG-10 < AVG-30 < ITB", "AVG-30 < AVG-10 < ITB"
+    ),
+    ("markov", 1.0, 3): (
+        "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB", "AVG-30 < AVG-10 < ITB"
+    ),
+}
+
+
+def test_policy_rankings_on_the_grid_are_pinned():
+    assert _orderings() == PINNED

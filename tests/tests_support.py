@@ -1,7 +1,31 @@
-"""Shared helpers for building synthetic session logs in tests."""
+"""Shared test helpers: synthetic session logs and the benchmark's modules."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from vbrsim.engine import SegmentRecord, SessionLog
 from vbrsim.model import ClientConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path.
+
+    Loading defines its names and runs nothing else.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look up its annotations
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_tracer():
+    """The benchmark's tracer; its install() is never called."""
+    return load_perfbench("tracer")
 
 
 def synthetic_log(versions, buffers=None, stalls=None, duration=2.0, bitrate=1e6):
