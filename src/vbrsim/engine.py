@@ -66,12 +66,6 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float =
     at the trace's bandwidth, integrated exactly across pieces. The returned
     duration includes the RTT.
     """
-    if size <= 0:
-        raise ValueError(f"size must be > 0, got {size}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    if rtt < 0:
-        raise ValueError(f"rtt must be >= 0, got {rtt}")
     t = start + rtt
     starts = trace.starts
     breakpoints = trace.breakpoints
@@ -227,7 +221,7 @@ _HEADER_FIELDS = (
     ("trace_label", "trace_label", STRING),
     ("segment_duration_s", "segment_duration", POSITIVE),
     ("num_versions", "num_versions", COUNT),
-    ("playback_start_s", "playback_start", NUMBER),
+    ("playback_start_s", "playback_start", POSITIVE),
 )
 _HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
@@ -387,15 +381,15 @@ def load_log_jsonl(path) -> SessionLog:
     cases = (policies.CASE_ITB,) if config.policy == "itb" else policies.AVG_CASES
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column
     rules = (
-        INTEGER, int_range(1, header["num_versions"]), POSITIVE, NUMBER, NUMBER, NUMBER,
-        NONNEGATIVE, NONNEGATIVE, one_of(cases), NONNEGATIVE,
+        INTEGER, int_range(1, header["num_versions"]), POSITIVE, NONNEGATIVE, NUMBER,
+        POSITIVE, NONNEGATIVE, NONNEGATIVE, one_of(cases), NONNEGATIVE,
     )
     columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):
         i = first_invalid(column, rule)
         if i is not None:
             raise _value_error(path, i + 2, name, column[i], rule[2])
-    # the two checks that read more than one value
+    # the three checks that read more than one value
     index, _, _, request, completion = columns[:5]
     if index != tuple(range(len(index))):
         i = next(i for i, value in enumerate(index) if value != i)
@@ -403,6 +397,9 @@ def load_log_jsonl(path) -> SessionLog:
     if not all(map(gt, completion, request)):
         i = next(i for i, (done, req) in enumerate(zip(completion, request)) if not done > req)
         raise _value_error(path, i + 2, "completion_time_s", completion[i], "> request_time_s")
+    if header["playback_start_s"] != completion[0]:
+        wording = f"line 2's completion_time_s {completion[0]!r}"
+        raise _value_error(path, 1, "playback_start_s", header["playback_start_s"], wording)
     return SessionLog(
         records=tuple(records),
         config=config,

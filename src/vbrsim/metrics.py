@@ -61,9 +61,6 @@ def buffer_cdf(log: SessionLog, grid) -> list:
     """Empirical CDF of buffer_after, evaluated at each grid level."""
     if not log.records:
         raise ValueError("empty session log")
-    grid = list(grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be sorted ascending")
     samples = sorted(r.buffer_after for r in log.records)
     n = len(samples)
     return [(level, bisect_right(samples, level) / n) for level in grid]

@@ -425,6 +425,26 @@ def _huge_index(header, records):
             id="negative-stall",
         ),
         pytest.param(
+            lambda h, r: r[40].update(throughput_bps=-2416365.4),
+            "line 42: field 'throughput_bps' must be a finite number > 0",
+            id="negative-throughput",
+        ),
+        pytest.param(
+            lambda h, r: r[60].update(request_time_s=-168.3),
+            "line 62: field 'request_time_s' must be a finite number >= 0",
+            id="negative-request-time",
+        ),
+        pytest.param(
+            lambda h, r: h.update(playback_start_s=-0.33),
+            "line 1: field 'playback_start_s' must be a finite number > 0",
+            id="negative-playback-start",
+        ),
+        pytest.param(
+            lambda h, r: h.update(playback_start_s=5.0),
+            "line 1: field 'playback_start_s' must be line 2's completion_time_s",
+            id="playback-start-not-first-completion",
+        ),
+        pytest.param(
             lambda h, r: r[20].update(completion_time_s=r[20]["request_time_s"]),
             "line 22: field 'completion_time_s' must be > request_time_s",
             id="completion-not-after-request",
@@ -689,3 +709,41 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
     assert "Traceback" not in proc.stderr
     for named in (str(manifest), str(trace), "segment ", "size_bits", "request_time_s"):
         assert named in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "size_bits, extra, message",
+    [
+        # size_bits / 2 s rounds to 0.0
+        pytest.param(5e-324, [], "bitrate must be > 0, got 0.0", id="bitrate"),
+        # theta * bitrate * 2 projects version 1's bitrate onto 0.0 for version 2
+        pytest.param(
+            1e-310, ["--theta", "1e-20"], "bitrate must be > 0, got 0.0 for version 2",
+            id="projected-bitrate",
+        ),
+        # size_bits / (1e10 s of RTT) rounds to 0.0
+        pytest.param(1e-320, ["--rtt", "1e10"], "throughput must be > 0", id="throughput"),
+    ],
+)
+def test_run_rejects_a_value_that_underflows_to_zero(inputs, tmp_path, size_bits, extra, message):
+    # the session loop's own guards: no input check can see these, as each
+    # input is finite and > 0 and only the session's arithmetic makes a zero
+    manifest, trace = inputs
+    data = json.loads(manifest.read_text())
+    for version in data["versions"]:
+        version["segment_sizes"] = [size_bits] * len(version["segment_sizes"])
+    manifest = tmp_path / "tiny.json"
+    manifest.write_text(json.dumps(data))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{manifest}, {trace}: {message}" in proc.stderr
+    assert not (tmp_path / "o").exists()

@@ -101,12 +101,6 @@ class TestDownloadTime:
             assert len(overlaps) >= 100
             assert sum(bw * dt for bw, dt in overlaps) == pytest.approx(size, rel=1e-9)
 
-    def test_input_errors(self):
-        with pytest.raises(ValueError):
-            download_time(constant_trace(1e6), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            download_time(constant_trace(1e6), -1.0, 1e6)
-
 
 class TestRunSessionSteadyState:
     def test_reaches_top_version_and_saturates(self):

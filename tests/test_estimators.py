@@ -99,10 +99,6 @@ class TestCrossVersionEstimate:
         values = [estimate_cross_version_bitrate(5e5, 34, qp, 1.05) for qp in range(20, 52)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_rejects_nonpositive_bitrate(self):
-        with pytest.raises(ValueError):
-            estimate_cross_version_bitrate(0, 34, 28, 1.05)
-
 
 class TestIngest:
     def test_full_window_slides(self):
@@ -162,14 +158,14 @@ class TestIngest:
 
     def test_rejected_segment_leaves_state_unchanged(self):
         est = EstimatorState(QPS6, ClientConfig(window_n=3))
-        for bad in ((1, 1, 100.0), (0, 0, 100.0), (0, 7, 100.0), (0, 1, 0.0), (0, 1, -5.0)):
+        for bad in ((1, 1, 100.0), (0, 1, 0.0), (0, 1, -5.0)):
             with pytest.raises((StateError, ValueError)):
                 est.ingest_segment(*bad)
             assert est.latest_bitrates == ()
             assert est.segments_seen == 0
         est.ingest_segment(0, 2, 400e3)
         latest, reps = est.latest_bitrates, est.rep_bitrates
-        for bad in ((0, 2, 400e3), (2, 2, 400e3), (1, 0, 400e3), (1, 7, 400e3), (1, 2, 0.0)):
+        for bad in ((0, 2, 400e3), (2, 2, 400e3), (1, 2, 0.0)):
             with pytest.raises((StateError, ValueError)):
                 est.ingest_segment(*bad)
             assert est.latest_bitrates == latest
@@ -183,11 +179,6 @@ class TestIngest:
             est.ingest_segment(2, 1, 100)
         with pytest.raises(StateError):
             est.ingest_segment(0, 1, 100)
-
-    def test_bad_version_rejected(self):
-        est = EstimatorState((30, 24), ClientConfig(window_n=3))
-        with pytest.raises(ValueError):
-            est.ingest_segment(0, 3, 100)
 
     def test_incremental_matches_brute_force_per_step(self):
         rng = random.Random(33)
@@ -258,20 +249,6 @@ class TestOneWindowRead:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize(
-        "qps",
-        [
-            pytest.param((), id="empty"),
-            pytest.param((30, True), id="bool-qp"),
-            pytest.param((30, -1), id="qp-negative"),
-            pytest.param((64, 30), id="qp-above-codec-range"),
-            pytest.param((30.0, 24), id="float-qp"),
-        ],
-    )
-    def test_rejects_bad_qps(self, qps):
-        with pytest.raises(ValueError, match="qps"):
-            EstimatorState(qps, ClientConfig())
-
     def test_takes_session_constants_from_config(self):
         est = EstimatorState(QPS6, ClientConfig(window_n=2, delta=0.5, theta=1.0))
         assert est.num_versions == 6

@@ -104,10 +104,6 @@ class TestBufferCdf:
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == 1.0
 
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError):
-            buffer_cdf(make_log([1, 2]), [10, 5])
-
 
 class TestWarmup:
     def test_first_buffer_fill(self):

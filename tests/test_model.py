@@ -49,8 +49,9 @@ class TestSegmentBitrate:
 
 class TestManifestInvariants:
     def test_needs_two_versions(self):
-        with pytest.raises(ValueError):
-            make_manifest([(100, 100)])
+        for sizes in ([], [(100, 100)]):
+            with pytest.raises(ValueError, match="at least 2 versions"):
+                make_manifest(sizes)
 
     def test_segment_counts_must_match(self):
         with pytest.raises(ValueError):
@@ -97,10 +98,6 @@ class TestBandwidthAt:
 
     def test_last_piece_extends_forever(self):
         assert download_time(self.trace, 250, 0.5e6 * 0.5, 0.0) == 0.5
-
-    def test_negative_time(self):
-        with pytest.raises(ValueError):
-            download_time(self.trace, -1, 0.5e6, 0.0)
 
     def test_starts_built_once_and_not_part_of_the_value(self):
         trace = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))

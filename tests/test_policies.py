@@ -53,10 +53,6 @@ class TestFlexibleThreshold:
         assert flexible_threshold(3e6, 1e6, 10, 50) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(14.768117, abs=1e-5)
 
-    def test_zero_bitrate_rejected(self):
-        with pytest.raises(ValueError):
-            flexible_threshold(1e6, 0, 10, 50)
-
     def test_strict_bounds_and_monotone(self):
         # ratios beyond ~20 saturate to beta_min in float, so test the
         # physically plausible range where strictness is resolvable

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in vbrsim has a reader outside the tests."""
+"""Every public top-level function and class in vbrsim has a reader outside the tests,
+and every top-level import in vbrsim is read by its module."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from tests_support import load_tracer
 import vbrsim
 
 SOURCES = sorted(Path(vbrsim.__file__).parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
 
 
 def _traced():
@@ -15,20 +17,23 @@ def _traced():
     return {tuple(name.split(".")[:2]) for name in load_tracer().FUNCTIONS}
 
 
-def test_every_public_name_is_read_exported_or_traced():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+def _read(tree) -> set:
+    """Every name and attribute name that ``tree`` reads."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    kept = read | set(vbrsim.__all__)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_exported_or_traced():
+    kept = set().union(*map(_read, TREES.values())) | set(vbrsim.__all__)
     traced = _traced()
     unread = [
         f"{module}.{node.name}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
@@ -36,3 +41,19 @@ def test_every_public_name_is_read_exported_or_traced():
         and (module, node.name) not in traced
     ]
     assert not unread, f"nothing in vbrsim reads {unread}"
+
+
+def test_every_import_is_read_by_its_module():
+    unread = []
+    for module, tree in TREES.items():
+        kept = _read(tree) | set(vbrsim.__all__)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in kept:
+                    unread.append(f"{module}: {name}")
+    assert not unread, f"imported and never read: {unread}"
