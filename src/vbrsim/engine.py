@@ -21,6 +21,7 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
+from math import inf
 from operator import gt, itemgetter
 from typing import NamedTuple
 
@@ -82,6 +83,11 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float =
         piece += 1
 
 
+def _download_error(size, clock, problem: str) -> ValueError:
+    download = f"a download of size_bits {size} requested at request_time_s {clock}"
+    return ValueError(f"{download} {problem}")
+
+
 def run_session(
     manifest: VideoManifest,
     trace: BandwidthTrace,
@@ -111,62 +117,70 @@ def run_session(
     buffer = 0.0
     version = cfg.start_version
 
-    for index in range(manifest.num_segments):
-        if buffer > beta_max:
-            # idle until the buffer has played down to the target level
-            clock += buffer - beta_max
-            buffer = beta_max
+    # every failure in the loop is one segment's, and names it
+    try:
+        for index in range(manifest.num_segments):
+            if buffer > beta_max:
+                # idle until the buffer has played down to the target level
+                clock += buffer - beta_max
+                buffer = beta_max
 
-        size = sizes[version - 1][index]
-        completion = clock + download_time(trace, clock, size, rtt)
-        elapsed = completion - clock
-        if elapsed <= 0:
-            # the download is shorter than one ulp of the clock
-            raise ValueError(
-                f"segment {index}: a download of size_bits {size} requested at "
-                f"request_time_s {clock} takes no time at this clock's resolution"
-            )
+            size = sizes[version - 1][index]
+            completion = clock + download_time(trace, clock, size, rtt)
+            elapsed = completion - clock
+            if elapsed <= 0:
+                # the download is shorter than one ulp of the clock
+                raise _download_error(size, clock, "takes no time at this clock's resolution")
 
-        buffer_before = buffer
-        # playback runs from the first completion on: the buffer drains by
-        # elapsed, and any shortfall, -drained (== elapsed - buffer exactly),
-        # is stall
-        if index:
-            drained = buffer - elapsed
-            if drained < 0.0:
-                stall = -drained
-                buffer = 0.0
+            buffer_before = buffer
+            # playback runs from the first completion on: the buffer drains by
+            # elapsed, and any shortfall, -drained (== elapsed - buffer exactly),
+            # is stall
+            if index:
+                drained = buffer - elapsed
+                if drained < 0.0:
+                    stall = -drained
+                    buffer = 0.0
+                else:
+                    stall = 0.0
+                    buffer = drained
             else:
                 stall = 0.0
-                buffer = drained
-        else:
-            stall = 0.0
-        buffer += duration
+            buffer += duration
 
-        t_instant = size / elapsed
-        ingest(index, version, size / duration)
-        update_throughput(t_instant)
+            # quotients of finite numbers > 0 can still round to 0.0 or inf
+            b_actual = size / duration
+            if not 0.0 < b_actual < inf:
+                problem = f"has bitrate {b_actual}, not a finite number > 0"
+                raise _download_error(size, clock, problem)
+            t_instant = size / elapsed
+            if not 0.0 < t_instant < inf:
+                problem = f"has throughput {t_instant}, not a finite number > 0"
+                raise _download_error(size, clock, problem)
+            ingest(version, b_actual)
+            update_throughput(t_instant)
 
-        # ClientView(buffer_level, last_version, last_throughput)
-        next_version, case_label = decide(ClientView(buffer, version, t_instant), est, cfg)
+            # ClientView(buffer_level, last_version, last_throughput)
+            next_version, case_label = decide(ClientView(buffer, version, t_instant), est, cfg)
 
-        append(
-            new_record(
-                SegmentRecord,
-                (
-                    index, version, size, clock, completion, t_instant,
-                    buffer_before, buffer, case_label, stall,
-                ),
+            append(
+                new_record(
+                    SegmentRecord,
+                    (
+                        index, version, size, clock, completion, t_instant,
+                        buffer_before, buffer, case_label, stall,
+                    ),
+                )
             )
-        )
-        if not 1 <= next_version <= num_versions:
-            # version 0 would read the last version's sizes
-            raise ValueError(
-                f"segment {index}: the policy chose version {next_version!r}, "
-                f"out of range 1..{num_versions}"
-            )
-        version = next_version
-        clock = completion
+            if not 1 <= next_version <= num_versions:
+                # version 0 would read the last version's sizes
+                raise ValueError(
+                    f"the policy chose version {next_version!r}, out of range 1..{num_versions}"
+                )
+            version = next_version
+            clock = completion
+    except ValueError as exc:
+        raise ValueError(f"segment {index}: {exc}") from exc
 
     return SessionLog(
         records=tuple(records),
@@ -389,8 +403,14 @@ def load_log_jsonl(path) -> SessionLog:
         i = first_invalid(column, rule)
         if i is not None:
             raise _value_error(path, i + 2, name, column[i], rule[2])
-    # the three checks that read more than one value
-    index, _, _, request, completion = columns[:5]
+    # the checks that read more than one value; a bitrate, size / duration,
+    # is monotone in size, so the smallest and largest sizes bound them all
+    index, _, size, request, completion = columns[:5]
+    duration = header["segment_duration_s"]
+    for bits in (min(size), max(size)):
+        if not 0.0 < bits / duration < inf:
+            wording = f"finite and > 0 when divided by segment_duration_s {duration!r}"
+            raise _value_error(path, size.index(bits) + 2, "size_bits", bits, wording)
     if index != tuple(range(len(index))):
         i = next(i for i, value in enumerate(index) if value != i)
         raise _value_error(path, i + 2, "index", index[i], "the record's position")

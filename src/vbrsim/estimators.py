@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import ClientConfig, StateError
+from .model import ClientConfig
 
 _append = deque.append
 
@@ -47,7 +47,6 @@ class EstimatorState:
         self.num_versions = len(qps)
         self.theta = cfg.theta
         self.delta = cfg.delta
-        self.segments_seen = 0
         # throughput estimate for the next segment, or None before any sample
         self.smoothed_throughput = None
         self._windows = [deque(maxlen=cfg.window_n) for _ in qps]
@@ -72,8 +71,6 @@ class EstimatorState:
 
     def update_smoothed_throughput(self, t_instant: float) -> float:
         """Fold one instant throughput sample into the smoothed estimate."""
-        if t_instant <= 0:
-            raise ValueError(f"throughput must be > 0, got {t_instant}")
         smoothed = self.smoothed_throughput
         if smoothed is None:
             smoothed = t_instant
@@ -83,25 +80,17 @@ class EstimatorState:
         self.smoothed_throughput = smoothed
         return smoothed
 
-    def ingest_segment(self, index: int, received_version: int, b_actual: float) -> None:
-        """Record segment ``index`` received at ``received_version``.
+    def ingest_segment(self, received_version: int, b_actual: float) -> None:
+        """Record the next segment, received at ``received_version``.
 
         ``b_actual`` is the measured bitrate of that segment; every other
         version's bitrate for the same index is projected through the QP
         model. Each value enters its version's window, dropping the oldest
         once the window holds N.
         """
-        if index != self.segments_seen:
-            raise StateError(
-                f"segments must be ingested in order: expected {self.segments_seen}, got {index}"
-            )
-        if b_actual <= 0:
-            raise ValueError(f"bitrate must be > 0, got {b_actual}")
-
         scaled = self.theta * b_actual
         row = [scaled * gain for gain in self._gains[received_version - 1]]
         row[received_version - 1] = b_actual
         # deque.append returns None, so any() runs it on every window
         any(map(_append, self._windows, row))
         self.latest_bitrates = tuple(row)
-        self.segments_seen += 1

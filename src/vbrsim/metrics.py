@@ -59,8 +59,6 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
 
 def buffer_cdf(log: SessionLog, grid) -> list:
     """Empirical CDF of buffer_after, evaluated at each grid level."""
-    if not log.records:
-        raise ValueError("empty session log")
     samples = sorted(r.buffer_after for r in log.records)
     n = len(samples)
     return [(level, bisect_right(samples, level) / n) for level in grid]
@@ -95,8 +93,6 @@ _TABLE_ROWS = (
 
 def stats_table(stats_by_label: dict) -> str:
     """Aligned text table; one column per (policy) label."""
-    if not stats_by_label:
-        raise ValueError("no stats to tabulate")
     labels = list(stats_by_label)
     header = ["Statistics"] + labels
     rows = [header]

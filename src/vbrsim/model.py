@@ -19,10 +19,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 
-class StateError(RuntimeError):
-    """Raised when an operation is applied to state in the wrong order."""
-
-
 def _finite(values) -> bool:
     """True when every value converts to a finite float."""
     try:

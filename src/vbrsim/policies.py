@@ -28,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .estimators import EstimatorState
-from .model import ClientConfig, ClientView, StateError
+from .model import ClientConfig, ClientView
 
 CASE_UPTREND = "uptrend"
 CASE_STABLE = "stable"
@@ -76,8 +76,6 @@ def select_panic_version(instant_bitrates, t_instant: float) -> int:
 
 def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Decision:
     """Pick the next version from the buffer regime and the estimator state."""
-    if est.segments_seen < 1 or est.smoothed_throughput is None:
-        raise StateError("policy called before any segment was received")
     current = view.last_version
     t_instant = view.last_throughput
     b_instant = est.latest_bitrates[current - 1]
@@ -123,8 +121,6 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
 
 def itb_decide(view: ClientView, est: EstimatorState) -> Decision:
     """Reference policy: instant-feasibility selection on every segment."""
-    if est.segments_seen < 1:
-        raise StateError("policy called before any segment was received")
     return Decision(select_panic_version(est.latest_bitrates, view.last_throughput), CASE_ITB)
 
 

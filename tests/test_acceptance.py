@@ -47,10 +47,10 @@ def test_criterion_2_estimator_oracle():
         window_n = rng.choice([1, 10, 30, 50])
         est = EstimatorState(QPS6, ClientConfig(window_n=window_n))
         histories = [[] for _ in range(6)]
-        for i in range(rng.randint(1, 80)):
+        for _ in range(rng.randint(1, 80)):
             version = rng.randint(1, 6)
             b = rng.uniform(5e4, 8e6)
-            est.ingest_segment(i, version, b)
+            est.ingest_segment(version, b)
             qp_from = QPS6[version - 1]
             for k in range(6):
                 if k == version - 1:

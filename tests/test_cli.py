@@ -412,6 +412,21 @@ def _huge_index(header, records):
             id="negative-size",
         ),
         pytest.param(
+            lambda h, r: h.update(segment_duration_s=1e-305),
+            "field 'size_bits' must be finite and > 0 when divided by segment_duration_s 1e-305",
+            id="bitrate-overflow",
+        ),
+        pytest.param(
+            lambda h, r: r[9].update(size_bits=5e-324),
+            "line 11: field 'size_bits' must be finite and > 0 when divided by segment_duration_s",
+            id="bitrate-underflow",
+        ),
+        pytest.param(
+            lambda h, r: (h.update(segment_duration_s=0.5), r[9].update(size_bits=1e308)),
+            "line 11: field 'size_bits' must be finite and > 0 when divided by segment_duration_s",
+            id="bitrate-overflow-on-one-line",
+        ),
+        pytest.param(
             lambda h, r: r[30].update(buffer_before_s=-1.5), "line 32: field 'buffer_before_s'",
             id="negative-buffer-before",
         ),
@@ -674,20 +689,21 @@ def test_deeply_nested_json_exits_2(inputs, tmp_path, command, text, message):
     assert f"{bad}: {message}" in proc.stderr
 
 
-def _one_bit_segments(m):
-    for version in m["versions"]:
-        version["segment_sizes"] = [1] * len(version["segment_sizes"])
+def _sizes(size_bits, **fields):
+    """A manifest edit: every segment of every version is ``size_bits`` bits,
+    and ``fields`` replace top-level fields."""
+
+    def edit(m):
+        m.update(fields)
+        for version in m["versions"]:
+            version["segment_sizes"] = [size_bits] * len(version["segment_sizes"])
+
+    return edit
 
 
-@pytest.mark.parametrize(
-    "edit, trace_rows, extra",
-    [
-        pytest.param(lambda m: m.update(segment_duration_s=1e20), None, [], id="huge-duration"),
-        pytest.param(_one_bit_segments, ["0.0,1e12"], ["--rtt", "0"], id="one-bit-segments"),
-    ],
-)
-def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, extra):
-    # a download shorter than one ulp of the clock takes no time at all
+def _refused_run(inputs, tmp_path, edit, trace_rows, extra):
+    """Run on an edited manifest (and optional trace rows), which must exit 2
+    with no traceback and write nothing; return both input paths and stderr."""
     manifest, trace = inputs
     data = json.loads(manifest.read_text())
     edit(data)
@@ -707,43 +723,69 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    for named in (str(manifest), str(trace), "segment ", "size_bits", "request_time_s"):
-        assert named in proc.stderr
+    assert not (tmp_path / "o").exists()
+    return manifest, trace, proc.stderr
 
 
 @pytest.mark.parametrize(
-    "size_bits, extra, message",
+    "edit, trace_rows, extra",
+    [
+        pytest.param(lambda m: m.update(segment_duration_s=1e20), None, [], id="huge-duration"),
+        pytest.param(_sizes(1), ["0.0,1e12"], ["--rtt", "0"], id="one-bit-segments"),
+    ],
+)
+def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, extra):
+    # a download shorter than one ulp of the clock takes no time at all
+    manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
+    for named in (str(manifest), str(trace), "segment ", "size_bits", "request_time_s"):
+        assert named in stderr
+
+
+@pytest.mark.parametrize(
+    "edit, trace_rows, extra, message",
     [
         # size_bits / 2 s rounds to 0.0
-        pytest.param(5e-324, [], "bitrate must be > 0, got 0.0", id="bitrate"),
+        pytest.param(
+            _sizes(5e-324), None, [],
+            "size_bits 5e-324 requested at request_time_s 0.0 has bitrate 0.0, "
+            "not a finite number > 0",
+            id="bitrate",
+        ),
         # theta * bitrate * 2 projects version 1's bitrate onto 0.0 for version 2
         pytest.param(
-            1e-310, ["--theta", "1e-20"], "bitrate must be > 0, got 0.0 for version 2",
+            _sizes(1e-310), None, ["--theta", "1e-20"], "bitrate must be > 0, got 0.0 for version 2",
             id="projected-bitrate",
         ),
         # size_bits / (1e10 s of RTT) rounds to 0.0
-        pytest.param(1e-320, ["--rtt", "1e10"], "throughput must be > 0", id="throughput"),
+        pytest.param(
+            _sizes(1e-320), None, ["--rtt", "1e10"],
+            "size_bits 1e-320 requested at request_time_s 0.0 has throughput 0.0, "
+            "not a finite number > 0",
+            id="throughput",
+        ),
+        # size_bits / 1e-305 s overflows to inf
+        pytest.param(
+            _sizes(1e6, segment_duration_s=1e-305), None, [],
+            "size_bits 1000000.0 requested at request_time_s 0.0 has bitrate inf, "
+            "not a finite number > 0",
+            id="overflow",
+        ),
+        # on a link at the largest float bandwidth, size / (size / bandwidth)
+        # rounds past the largest float when the download time is subnormal
+        pytest.param(
+            _sizes(1.4144245188391054), ["0.0,1.7976931348623157e305"], ["--rtt", "0"],
+            "size_bits 1.4144245188391054 requested at request_time_s 0.0 has throughput inf, "
+            "not a finite number > 0",
+            id="throughput-overflow",
+        ),
     ],
 )
-def test_run_rejects_a_value_that_underflows_to_zero(inputs, tmp_path, size_bits, extra, message):
+def test_run_rejects_a_value_that_underflows_to_zero(
+    inputs, tmp_path, edit, trace_rows, extra, message
+):
     # the session loop's own guards: no input check can see these, as each
     # input is finite and > 0 and only the session's arithmetic makes a zero
-    manifest, trace = inputs
-    data = json.loads(manifest.read_text())
-    for version in data["versions"]:
-        version["segment_sizes"] = [size_bits] * len(version["segment_sizes"])
-    manifest = tmp_path / "tiny.json"
-    manifest.write_text(json.dumps(data))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
-    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert f"{manifest}, {trace}: {message}" in proc.stderr
-    assert not (tmp_path / "o").exists()
+    # or an inf
+    manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
+    assert f"{manifest}, {trace}: segment 0: " in stderr
+    assert message in stderr

@@ -23,6 +23,7 @@ from vbrsim.engine import (
     save_log_jsonl,
     save_logs,
 )
+from vbrsim.estimators import EstimatorState
 from vbrsim.metrics import compute_stats
 from vbrsim.model import BandwidthTrace, ClientConfig, VideoManifest
 from vbrsim.policies import decide
@@ -213,14 +214,21 @@ class TestRunSessionSteadyState:
     def test_policy_consulted_every_segment(self, monkeypatch):
         m = cbr_manifest(segments=25)
         calls = []
+        ingest = EstimatorState.ingest_segment
+
+        def recording_ingest(est, version, b_actual):
+            calls.append("ingest")
+            ingest(est, version, b_actual)
 
         def probe(view, est, cfg):
-            calls.append(est.segments_seen - 1)  # index of the segment just received
+            calls.append("decide")
             return decide(view, est, cfg)
 
+        monkeypatch.setattr(EstimatorState, "ingest_segment", recording_ingest)
         monkeypatch.setattr(policies, "decide", probe)
         log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
-        assert calls == list(range(25))
+        # each segment is ingested, then decided on
+        assert calls == ["ingest", "decide"] * 25
         assert all(r.case_label for r in log.records)
 
 

@@ -4,10 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from vbrsim.model import ClientConfig, ClientView, StateError
+from vbrsim.model import ClientConfig, ClientView
 from vbrsim.policies import (
     AVG_CASES,
-    Decision,
     avg_decide,
     decide,
     flexible_threshold,
@@ -34,7 +33,6 @@ def make_est(reps, latest, smoothed):
         _rep_bitrate=lambda version: reps[version - 1],
         latest_bitrates=tuple(latest),
         smoothed_throughput=smoothed,
-        segments_seen=1,
         num_versions=len(QPS6),
     )
 
@@ -231,13 +229,6 @@ class TestAvgDecide:
         d = avg_decide(view, est, ClientConfig())
         assert d.case_label == "panic"
         assert d.next_version == 2
-
-    def test_requires_a_received_segment(self):
-        view = make_view(buffer_level=5, last_version=2, t_instant=1e6)
-        est = make_est(reps=(1, 1, 1, 1, 1, 1), latest=(1, 1, 1, 1, 1, 1), smoothed=None)
-        est.segments_seen = 0
-        with pytest.raises(StateError):
-            avg_decide(view, est, ClientConfig())
 
     def test_case_partition_is_exhaustive_and_exclusive(self):
         rng = random.Random(9)
