@@ -75,6 +75,15 @@ def _warmup_count(arg: str, log: engine.SessionLog) -> int:
         raise ValueError(f"--warmup must be an integer or 'auto', got {arg!r}") from None
 
 
+def _session_stats(log: engine.SessionLog, warmup: str, source: str) -> metrics.SessionStats:
+    """``log``'s statistics after the ``--warmup`` segments; a refusal names ``source``."""
+    exclude = _warmup_count(warmup, log)
+    try:
+        return metrics.compute_stats(log, warmup_exclude=exclude)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def _save_stats(stats: metrics.SessionStats, path) -> None:
     with open(path, "w") as fh:
         json.dump(stats._asdict(), fh, indent=2, sort_keys=True)
@@ -97,14 +106,14 @@ def cmd_run(args) -> int:
     step = max(1, math.ceil(top / CDF_MAX_POINTS))
     grid = [float(g) for g in range(0, math.ceil(top) + step, step)]
 
+    sources = f"{args.manifest}, {args.bandwidth}"
     stats_by_label = {}
     for label, cfg in configs.items():
         try:
             log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
         except ValueError as exc:
-            raise ValueError(f"{args.manifest}, {args.bandwidth}: {exc}") from exc
-        warmup = _warmup_count(args.warmup, log)
-        stats = metrics.compute_stats(log, warmup_exclude=warmup)
+            raise ValueError(f"{sources}: {exc}") from exc
+        stats = _session_stats(log, args.warmup, sources)
         stats_by_label[label] = stats
 
         # made only now, so that a rejected run leaves nothing behind
@@ -150,8 +159,7 @@ def cmd_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     log = engine.load_log_jsonl(args.log)
-    warmup = _warmup_count(args.warmup, log)
-    stats = metrics.compute_stats(log, warmup_exclude=warmup)
+    stats = _session_stats(log, args.warmup, args.log)
     if args.out:
         _save_stats(stats, args.out)
     sys.stdout.write(metrics.stats_table({args.log: stats}))

@@ -59,13 +59,8 @@ class EstimatorState:
         # per-version bitrate of the most recent segment (actual or projected)
         self.latest_bitrates = ()
 
-    @property
-    def rep_bitrates(self) -> tuple:
-        """Representative bitrate per version (index 0 = version 1)."""
-        return tuple(sum(w) / len(w) for w in self._windows)
-
-    def _rep_bitrate(self, version: int) -> float:
-        """``rep_bitrates[version - 1]``, bit for bit, from that one window."""
+    def rep_bitrate(self, version: int) -> float:
+        """Representative bitrate of ``version``: the mean of its window."""
         window = self._windows[version - 1]
         return sum(window) / len(window)
 

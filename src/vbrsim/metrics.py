@@ -8,6 +8,7 @@ completion (buffer_after), not a time-weighted integral.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from statistics import fmean, pstdev
 from typing import NamedTuple
@@ -43,8 +44,14 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
     bitrates = [r.size_bits / log.segment_duration for r in records]
     buffers = [r.buffer_after for r in records]
     degrees = [abs(b - a) for a, b in zip(versions, versions[1:])]
+    try:
+        average_bitrate = fmean(bitrates)
+    except OverflowError:  # fsum's exact sum of finite bitrates passed the float range
+        average_bitrate = math.inf
+    # the other statistics are versions, their steps and buffer levels, or
+    # their spread, all within the range of finite inputs
     return SessionStats(
-        average_bitrate=fmean(bitrates),
+        average_bitrate=_finite(average_bitrate, "average_bitrate", "size_bits"),
         average_version=fmean(versions),
         max_version=max(versions),
         min_version=min(versions),
@@ -53,8 +60,16 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
         std_switch_degrees=pstdev(degrees) if degrees else 0.0,
         min_buffer=min(buffers),
         std_buffer=pstdev(buffers) if len(buffers) > 1 else 0.0,
-        total_stall=sum(r.stall_time for r in records),
+        total_stall=_finite(sum(r.stall_time for r in records), "total_stall", "stall_s"),
     )
+
+
+def _finite(value: float, name: str, column: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} is {value}, not a finite float: the {column} values are too large"
+        )
+    return value
 
 
 def buffer_cdf(log: SessionLog, grid) -> list:
@@ -67,12 +82,13 @@ def buffer_cdf(log: SessionLog, grid) -> list:
 def warmup_segments(log: SessionLog) -> int:
     """Number of leading segments before the buffer first reaches its target.
 
-    Returns 0 when the buffer never fills, so stats fall back to the whole
-    session.
+    Returns 0 when the buffer never fills, or first fills on the last segment
+    (which would leave nothing), so stats fall back to the whole session.
     """
+    last = len(log.records) - 1
     for i, rec in enumerate(log.records):
         if rec.buffer_after >= log.config.beta_max:
-            return i + 1
+            return i + 1 if i < last else 0
     return 0
 
 

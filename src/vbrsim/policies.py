@@ -88,7 +88,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
             # only the gated version's window is summed: the next-higher
             # version under "prose", the current one under "pseudocode"
             gated = current + 1 if cfg.uptrend_gate == "prose" else current
-            if est._rep_bitrate(gated) < t_est:
+            if est.rep_bitrate(gated) < t_est:
                 nxt = current + 1
         return Decision(nxt, CASE_UPTREND)
 
@@ -101,7 +101,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
         return Decision(current, CASE_STABLE)
 
     if buffer >= cfg.beta_min:
-        reps = est.rep_bitrates
+        reps = [est.rep_bitrate(k) for k in range(1, est.num_versions + 1)]
         candidates = [r for r in reps if r < t_est]
         if candidates:
             target = max(candidates)

@@ -62,7 +62,7 @@ def test_criterion_2_estimator_oracle():
         for k in range(6):
             tail = histories[k][-window_n:]
             expected = sum(tail) / len(tail)
-            got = est.rep_bitrates[k]
+            got = est.rep_bitrate(k + 1)
             assert abs(got - expected) <= 1e-9 * abs(expected), (trial, k, got, expected)
     _report(2, "estimator vs brute-force windows", started, 10.0)
 

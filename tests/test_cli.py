@@ -464,6 +464,17 @@ def _huge_index(header, records):
             "line 22: field 'completion_time_s' must be > request_time_s",
             id="completion-not-after-request",
         ),
+        # each value is finite, but a statistic over them is not
+        pytest.param(
+            lambda h, r: [h.update(segment_duration_s=0.9), *(x.update(size_bits=1e308) for x in r)],
+            "average_bitrate is inf, not a finite float: the size_bits values",
+            id="average-bitrate-overflow",
+        ),
+        pytest.param(
+            lambda h, r: [r[10].update(stall_s=1e308), r[20].update(stall_s=1e308)],
+            "total_stall is inf, not a finite float: the stall_s values",
+            id="total-stall-overflow",
+        ),
         pytest.param(lambda h, r: _NOT_UTF8, "codec can't decode", id="non-utf8-log"),
         pytest.param(
             lambda h, r: _bad_byte_on_line_101(_jsonl(h, r).splitlines()), _LINE_101,
@@ -486,8 +497,9 @@ def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
 
 def _assert_stats_refuses(bad, field):
     env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    out = bad.with_suffix(".stats.json")
     proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", "stats", "--log", str(bad)],
+        [sys.executable, "-m", "vbrsim.cli", "stats", "--log", str(bad), "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
@@ -496,6 +508,7 @@ def _assert_stats_refuses(bad, field):
     assert str(bad) in proc.stderr
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -789,3 +802,38 @@ def test_run_rejects_a_value_that_underflows_to_zero(
     manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
     assert f"{manifest}, {trace}: segment 0: " in stderr
     assert message in stderr
+
+
+def test_run_rejects_an_average_bitrate_past_the_float_range(inputs, tmp_path):
+    # each 1e308-bit segment's bitrate is finite, but their exact sum is not
+    manifest, trace, stderr = _refused_run(
+        inputs, tmp_path, _sizes(1e308, segment_duration_s=0.9), None, []
+    )
+    assert f"{manifest}, {trace}: average_bitrate is inf, not a finite float" in stderr
+    assert "size_bits" in stderr
+
+
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_warmup_auto_keeps_every_segment_when_the_buffer_fills_on_the_last(
+    inputs, tmp_path, command
+):
+    # the README's inputs cut to 28 segments: the buffer first reaches
+    # beta_max on segment 28, so auto falls back to the whole session
+    manifest, trace = inputs
+    data = json.loads(manifest.read_text())
+    for version in data["versions"]:
+        version["segment_sizes"] = version["segment_sizes"][:28]
+    manifest = tmp_path / "short.json"
+    manifest.write_text(json.dumps(data))
+    run = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--policy", "avg"]
+    assert main([*run, "--warmup", "0", "--out", str(tmp_path / "zero")]) == 0
+    log = tmp_path / "zero" / "avg-30.jsonl"
+    buffers = [r.buffer_after for r in load_log_jsonl(log).records]
+    assert max(buffers[:-1]) < 50.0 <= buffers[-1]
+    if command == "run":
+        assert main([*run, "--warmup", "auto", "--out", str(tmp_path / "auto")]) == 0
+        got = tmp_path / "auto" / "avg-30.stats.json"
+    else:
+        got = tmp_path / "auto.stats.json"
+        assert main(["stats", "--log", str(log), "--warmup", "auto", "--out", str(got)]) == 0
+    assert got.read_bytes() == (tmp_path / "zero" / "avg-30.stats.json").read_bytes()

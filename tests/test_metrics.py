@@ -75,6 +75,19 @@ class TestComputeStats:
         with pytest.raises(ValueError):
             compute_stats(log, warmup_exclude=-1)
 
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            # each bitrate is finite, but their exact sum is not
+            (make_log([1, 1], duration=0.9, bitrate=1e308), "average_bitrate is inf, .* size_bits"),
+            (make_log([1, 1, 1], stalls=[1e308, 0.0, 1e308]), "total_stall is inf, .* stall_s"),
+        ],
+        ids=["average-bitrate", "total-stall"],
+    )
+    def test_refuses_a_statistic_past_the_float_range(self, log, message):
+        with pytest.raises(ValueError, match=message):
+            compute_stats(log)
+
 
 class TestBufferCdf:
     def test_point_mass(self):
@@ -113,6 +126,12 @@ class TestWarmup:
     def test_never_full_returns_zero(self):
         log = make_log([1] * 4, buffers=[5, 10, 15, 20])
         assert warmup_segments(log) == 0
+
+    def test_first_full_on_the_last_segment_returns_zero(self):
+        # excluding every segment would leave nothing to summarize
+        log = make_log([1, 2, 3, 3], buffers=[5, 20, 35, 50])
+        assert warmup_segments(log) == 0
+        assert compute_stats(log, warmup_exclude=warmup_segments(log)) == compute_stats(log)
 
 
 class TestStatsTable:

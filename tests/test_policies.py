@@ -29,8 +29,7 @@ def make_est(reps, latest, smoothed):
     """Minimal estimator stand-in with prescribed readings."""
     reps = tuple(reps)
     return SimpleNamespace(
-        rep_bitrates=reps,
-        _rep_bitrate=lambda version: reps[version - 1],
+        rep_bitrate=lambda version: reps[version - 1],
         latest_bitrates=tuple(latest),
         smoothed_throughput=smoothed,
         num_versions=len(QPS6),
@@ -276,14 +275,9 @@ class TestAvgDecide:
 
 
 class RepTripwire(SimpleNamespace):
-    """Estimator stand-in whose representative bitrate tuple raises when read,
-    and which records each version whose window is read on its own."""
+    """Estimator stand-in that records each version whose window is read."""
 
-    @property
-    def rep_bitrates(self):
-        raise LookupError("rep_bitrates read")
-
-    def _rep_bitrate(self, version):
+    def rep_bitrate(self, version):
         self.windows_read.append(version)
         return self.reps[version - 1]
 
@@ -300,7 +294,7 @@ class TestRepresentativeBitratesReadLazily:
 
     def tripwire(self):
         readings = vars(make_est(**self.READINGS))
-        del readings["rep_bitrates"], readings["_rep_bitrate"]
+        del readings["rep_bitrate"]
         return RepTripwire(**readings, reps=self.READINGS["reps"], windows_read=[])
 
     @pytest.mark.parametrize("gate", ["prose", "pseudocode"])
@@ -321,17 +315,16 @@ class TestRepresentativeBitratesReadLazily:
     def test_regimes_that_read_them(self, buffer, case, gate):
         # uptrend below the top reads the gated version's window alone (the
         # next-higher version under prose, the current one under pseudocode);
-        # downtrend reads the whole tuple
+        # downtrend reads every window, in version order
         view = make_view(buffer_level=buffer, last_version=4, t_instant=1000e3)
         cfg = ClientConfig(uptrend_gate=gate)
         expected = avg_decide(view, make_est(**self.READINGS), cfg)
         assert expected.case_label == case
         est = self.tripwire()
+        assert avg_decide(view, est, cfg) == expected
         if case == "downtrend":
-            with pytest.raises(LookupError, match="rep_bitrates"):
-                avg_decide(view, est, cfg)
+            assert est.windows_read == [1, 2, 3, 4, 5, 6]
         else:
-            assert avg_decide(view, est, cfg) == expected
             assert est.windows_read == [5 if gate == "prose" else 4]
 
 

@@ -1,5 +1,6 @@
 """Every public top-level function and class in vbrsim has a reader outside the tests,
-and every top-level import in vbrsim and in the tests is read by its module."""
+every top-level import in vbrsim and in the tests is read by its module, and no
+vbrsim module reads a private attribute of anything but ``self``."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,22 @@ def test_every_import_is_read_by_its_module():
                 if name not in kept:
                     unread.append(f"{module}: {name}")
     assert not unread, f"imported and never read: {unread}"
+
+
+# the named-tuple API, whose leading underscore only keeps it from field names
+NAMED_TUPLE_API = {"_asdict", "_make"}
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    reads = [
+        f"{module}:{node.lineno}: {ast.unparse(node)}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and node.attr not in NAMED_TUPLE_API
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not reads, f"private attributes read from outside their object: {reads}"
