@@ -66,18 +66,19 @@ def _policy_configs(args) -> dict:
     return out
 
 
-def _warmup_count(arg: str, log: engine.SessionLog) -> int:
+def _warmup(arg: str) -> int | None:
+    """``--warmup`` as a segment count, or None for 'auto'."""
     if arg == "auto":
-        return metrics.warmup_segments(log)
+        return None
     try:
         return int(arg)
     except ValueError:
         raise ValueError(f"--warmup must be an integer or 'auto', got {arg!r}") from None
 
 
-def _session_stats(log: engine.SessionLog, warmup: str, source: str) -> metrics.SessionStats:
-    """``log``'s statistics after the ``--warmup`` segments; a refusal names ``source``."""
-    exclude = _warmup_count(warmup, log)
+def _session_stats(log: engine.SessionLog, warmup: int | None, source: str):
+    """``log``'s statistics after ``warmup`` segments (None: auto); a refusal names ``source``."""
+    exclude = metrics.warmup_segments(log) if warmup is None else warmup
     try:
         return metrics.compute_stats(log, warmup_exclude=exclude)
     except ValueError as exc:
@@ -94,6 +95,7 @@ def cmd_run(args) -> int:
     manifest = model.load_manifest(args.manifest)
     trace = model.load_trace(args.bandwidth)
     configs = _policy_configs(args)
+    warmup = _warmup(args.warmup)
     out_dir = Path(args.out)
     # the buffer never holds more than beta_max + one segment, nor more
     # media than the session has; one point per second up to
@@ -113,7 +115,7 @@ def cmd_run(args) -> int:
             log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
         except ValueError as exc:
             raise ValueError(f"{sources}: {exc}") from exc
-        stats = _session_stats(log, args.warmup, sources)
+        stats = _session_stats(log, warmup, sources)
         stats_by_label[label] = stats
 
         # made only now, so that a rejected run leaves nothing behind
@@ -158,8 +160,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    warmup = _warmup(args.warmup)
     log = engine.load_log_jsonl(args.log)
-    stats = _session_stats(log, args.warmup, args.log)
+    stats = _session_stats(log, warmup, args.log)
     if args.out:
         _save_stats(stats, args.out)
     sys.stdout.write(metrics.stats_table({args.log: stats}))

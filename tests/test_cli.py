@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
+from tests_support import call_main, readme_inputs
 
 import vbrsim
 from vbrsim.cli import CDF_MAX_POINTS, main
@@ -17,14 +19,50 @@ from vbrsim.model import load_manifest, load_trace
 
 @pytest.fixture
 def inputs(tmp_path):
-    manifest = tmp_path / "sony.json"
-    trace = tmp_path / "rect.csv"
-    assert main(["gen", "ladder", "--preset", "sony-like", "--out", str(manifest)]) == 0
-    assert (
-        main(["gen", "bandwidth", "rect", "2500", "500", "120", "60", "600", "--out", str(trace)])
-        == 0
+    return readme_inputs(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def run_logs(tmp_path_factory):
+    """The text of the ITB and AVG-30 logs that ``run`` writes on the README
+    inputs, by file name; one run serves every test that corrupts a log."""
+    directory = tmp_path_factory.mktemp("run-logs")
+    manifest, trace = readme_inputs(directory)
+    out = directory / "out"
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+    assert call_main([*args, "--policy", "itb,avg"])[0] == 0
+    return MappingProxyType({log: (out / log).read_text() for log in ("itb.jsonl", "avg-30.jsonl")})
+
+
+def _refused(argv, *named):
+    """Run ``argv`` in process: it must exit 2 with no traceback, name each of
+    ``named`` in stderr and leave its ``--out``, if any, unwritten. Returns stderr."""
+    code, err = call_main(argv)
+    assert code == 2, err
+    assert "Traceback" not in err
+    for text in named:
+        assert text in err
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_python_m_entry_point_exits_2_as_main_does(inputs, tmp_path, command):
+    # the one test that starts the entry point, whose sys.exit(main()) sets the
+    # exit code; every other refusal runs main in process through _refused
+    _, trace = inputs
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv = {
+        "run": ["run", "--manifest", str(bad), "--bandwidth", str(trace)],
+        "stats": ["stats", "--log", str(bad)],
+    }[command] + ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", *argv], capture_output=True, text=True, env=env
     )
-    return manifest, trace
+    assert (proc.returncode, proc.stderr) == (2, _refused(argv, str(bad)))
 
 
 class TestGen:
@@ -46,8 +84,8 @@ class TestGen:
         assert m.num_segments == 300
 
     def test_bad_shape_is_config_error(self, tmp_path):
-        code = main(["gen", "bandwidth", "tri", "1", "2", "3", "4", "5", "--out", str(tmp_path / "t.csv")])
-        assert code == 2
+        args = ["gen", "bandwidth", "tri", "1", "2", "3", "4", "5"]
+        _refused([*args, "--out", str(tmp_path / "t.csv")], "'tri'")
 
     @pytest.mark.parametrize(
         "args, field",
@@ -64,13 +102,8 @@ class TestGen:
             (["ladder", "--preset", "sony-like", "--segments", "100000000"], "segment_count"),
         ],
     )
-    def test_bad_generator_params_exit_2(self, tmp_path, capsys, args, field):
-        out = tmp_path / "out"
-        assert main(["gen", *args, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert field in err
-        assert "Traceback" not in err
-        assert not out.exists()
+    def test_bad_generator_params_exit_2(self, tmp_path, args, field):
+        _refused(["gen", *args, "--out", str(tmp_path / "out")], field)
 
 
 class TestRun:
@@ -156,17 +189,8 @@ class TestRun:
 
     def test_invalid_thresholds_exit_2(self, inputs, tmp_path):
         manifest, trace = inputs
-        code = main(
-            [
-                "run",
-                "--manifest", str(manifest),
-                "--bandwidth", str(trace),
-                "--beta-min", "50",
-                "--beta-max", "50",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 2
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--beta-min", "50"]
+        _refused([*args, "--beta-max", "50", "--out", str(tmp_path / "x")], "beta_min")
 
     def test_missing_manifest_exit_3(self, inputs, tmp_path):
         _, trace = inputs
@@ -184,37 +208,29 @@ class TestRun:
         _, trace = inputs
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code = main(
-            ["run", "--manifest", str(bad), "--bandwidth", str(trace), "--out", str(tmp_path / "x")]
-        )
-        assert code == 2
+        args = ["run", "--manifest", str(bad), "--bandwidth", str(trace)]
+        _refused([*args, "--out", str(tmp_path / "x")], str(bad))
 
     def test_bad_policy_spec_exit_2(self, inputs, tmp_path):
         manifest, trace = inputs
-        code = main(
-            [
-                "run",
-                "--manifest", str(manifest),
-                "--bandwidth", str(trace),
-                "--policy", "tbb",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 2
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+        _refused([*args, "--policy", "tbb", "--out", str(tmp_path / "x")], "'tbb'")
 
 
 @pytest.mark.parametrize("command", ["run", "stats"])
-def test_non_integer_warmup_names_the_option(inputs, tmp_path, capsys, command):
+def test_non_integer_warmup_names_the_option(inputs, tmp_path, monkeypatch, command):
+    def unreached(*args, **kwargs):
+        pytest.fail("a session was simulated or a log read before --warmup was checked")
+
+    for name in ("run_session", "load_log_jsonl"):
+        monkeypatch.setattr(f"vbrsim.engine.{name}", unreached)
     manifest, trace = inputs
-    run = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path)]
-    if command == "run":
-        args = run
-    else:
-        assert main(run) == 0
-        args = ["stats", "--log", str(tmp_path / "avg-30.jsonl")]
-    capsys.readouterr()
-    assert main(args + ["--warmup", "abc"]) == 2
-    assert "--warmup must be an integer or 'auto'" in capsys.readouterr().err
+    args = {
+        "run": ["run", "--manifest", str(manifest), "--bandwidth", str(trace)],
+        "stats": ["stats", "--log", str(tmp_path / "avg-30.jsonl")],
+    }[command]
+    out = ["--out", str(tmp_path / "o")]
+    _refused([*args, *out, "--warmup", "abc"], "--warmup must be an integer or 'auto'")
 
 
 def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):
@@ -482,54 +498,32 @@ def _huge_index(header, records):
         ),
     ],
 )
-def test_stats_rejects_bad_log(inputs, tmp_path, mutate, field):
-    manifest, trace = inputs
-    out = tmp_path / "out"
-    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
-    assert main(args) == 0
-    header, *records = (json.loads(line) for line in (out / "avg-30.jsonl").read_text().splitlines())
+def test_stats_rejects_bad_log(run_logs, tmp_path, mutate, field):
+    header, *records = map(json.loads, run_logs["avg-30.jsonl"].splitlines())
     # a mutation returns bytes when it writes the whole file itself
     raw = mutate(header, records)
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(raw if isinstance(raw, bytes) else _jsonl(header, records).encode())
-    _assert_stats_refuses(bad, field)
-
-
-def _assert_stats_refuses(bad, field):
-    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
-    out = bad.with_suffix(".stats.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", "stats", "--log", str(bad), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert str(bad) in proc.stderr
-    assert field in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    stats = ["stats", "--log", str(bad), "--out", str(tmp_path / "bad.stats.json")]
+    _refused(stats, str(bad), field)
 
 
 @pytest.mark.parametrize(
-    "policy, log, label, allowed",
+    "log, label, allowed",
     [
-        ("avg", "avg-30.jsonl", "itb", "['downtrend', 'panic', 'stable', 'uptrend']"),
-        ("itb", "itb.jsonl", "panic", "['itb']"),
+        ("avg-30.jsonl", "itb", "['downtrend', 'panic', 'stable', 'uptrend']"),
+        ("itb.jsonl", "panic", "['itb']"),
     ],
     ids=["itb-in-avg-log", "panic-in-itb-log"],
 )
-def test_stats_rejects_a_case_outside_the_policy(inputs, tmp_path, policy, log, label, allowed):
+def test_stats_rejects_a_case_outside_the_policy(run_logs, tmp_path, log, label, allowed):
     # a label that some policy logs, but not the one the header names
-    manifest, trace = inputs
-    out = tmp_path / "out"
-    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
-    assert main([*args, "--policy", policy]) == 0
-    header, *records = (json.loads(line) for line in (out / log).read_text().splitlines())
+    header, *records = map(json.loads, run_logs[log].splitlines())
     records[99]["case"] = label
     bad = tmp_path / "bad.jsonl"
     bad.write_text(_jsonl(header, records))
-    _assert_stats_refuses(bad, f"line 101: field 'case' must be one of {allowed}, got {label!r}")
+    stats = ["stats", "--log", str(bad), "--out", str(tmp_path / "bad.stats.json")]
+    _refused(stats, str(bad), f"line 101: field 'case' must be one of {allowed}, got {label!r}")
 
 
 def _set_size(value):
@@ -630,34 +624,23 @@ def _huge_digits_duration(m):
 def test_run_rejects_non_finite_input(inputs, tmp_path, where, edit, field):
     manifest, trace = inputs
     # an edit returns bytes when it writes the whole file itself
-    extra, bad = [], None
+    extra, named = [], [field]
     if where == "manifest":
         data = json.loads(manifest.read_text())
         raw = edit(data)
-        bad = manifest = tmp_path / "bad.json"
+        manifest = tmp_path / "bad.json"
         manifest.write_bytes(raw if isinstance(raw, bytes) else json.dumps(data).encode())
+        named.append(str(manifest))
     elif where == "trace":
         lines = trace.read_text().splitlines()
         raw = edit(lines)
-        bad = trace = tmp_path / "bad.csv"
+        trace = tmp_path / "bad.csv"
         trace.write_bytes(raw if isinstance(raw, bytes) else ("\n".join(lines) + "\n").encode())
+        named.append(str(trace))
     else:
         extra = edit
-
-    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
-    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert field in proc.stderr
-    if bad is not None:
-        assert str(bad) in proc.stderr
-    assert not (tmp_path / "o").exists()
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    _refused([*args, "--out", str(tmp_path / "o"), *extra], *named)
 
 
 _NESTED = "[" * 100_000 + "]" * 100_000
@@ -673,14 +656,11 @@ _NESTED = "[" * 100_000 + "]" * 100_000
         pytest.param("run", _NESTED, "not valid JSON", id="nested-manifest"),
     ],
 )
-def test_deeply_nested_json_exits_2(inputs, tmp_path, command, text, message):
+def test_deeply_nested_json_exits_2(inputs, run_logs, tmp_path, command, text, message):
     # json.dumps would itself recurse on this value, so the text is written directly
-    manifest, trace = inputs
+    _, trace = inputs
     if command == "stats":
-        out = tmp_path / "out"
-        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
-        assert main(args) == 0
-        lines = (out / "avg-30.jsonl").read_text().splitlines(keepends=True)
+        lines = run_logs["avg-30.jsonl"].splitlines(keepends=True)
         lines[3] = text + "\n"
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(lines))
@@ -689,17 +669,7 @@ def test_deeply_nested_json_exits_2(inputs, tmp_path, command, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         args = ["--manifest", str(bad), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
-
-    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", command, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert f"{bad}: {message}" in proc.stderr
+    _refused([command, *args], f"{bad}: {message}")
 
 
 def _sizes(size_bits, **fields):
@@ -715,8 +685,8 @@ def _sizes(size_bits, **fields):
 
 
 def _refused_run(inputs, tmp_path, edit, trace_rows, extra):
-    """Run on an edited manifest (and optional trace rows), which must exit 2
-    with no traceback and write nothing; return both input paths and stderr."""
+    """Run on an edited manifest (and optional trace rows), which must be
+    refused; return both input paths and stderr."""
     manifest, trace = inputs
     data = json.loads(manifest.read_text())
     edit(data)
@@ -725,19 +695,8 @@ def _refused_run(inputs, tmp_path, edit, trace_rows, extra):
     if trace_rows is not None:
         trace = tmp_path / "fast.csv"
         trace.write_text("\n".join(["time_s,bandwidth_kbps", *trace_rows]) + "\n")
-
-    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
-    args = ["--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(tmp_path / "o")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "vbrsim.cli", "run", *args, *extra],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "o").exists()
-    return manifest, trace, proc.stderr
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    return manifest, trace, _refused([*args, "--out", str(tmp_path / "o"), *extra])
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,11 @@ bad input must end in exit 0, 2 or 3, never escape ``main``, and an exit-2
 message must name the corrupted file. The seed and the case count are fixed.
 """
 
-import contextlib
-import io
 import json
 import math
 import random
 
-from vbrsim.cli import main
+from tests_support import call_main, readme_inputs
 
 SEED = 2026
 CASES = 400
@@ -89,21 +87,11 @@ def _mutate_trace(text: str, rng: random.Random) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def _main(argv):
-    """``cli.main(argv)``'s exit code and stderr; stdout is discarded."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    return code, err.getvalue()
-
-
 def test_every_mutated_input_exits_0_2_or_3_naming_the_file(tmp_path):
-    manifest, trace, out = tmp_path / "sony.json", tmp_path / "rect.csv", tmp_path / "out"
-    assert main(["gen", "ladder", "--preset", "sony-like", "--out", str(manifest)]) == 0
-    rect = ["gen", "bandwidth", "rect", "2500", "500", "120", "60", "600", "--out", str(trace)]
-    assert main(rect) == 0
+    manifest, trace = readme_inputs(tmp_path)
+    out = tmp_path / "out"
     run = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
-    assert _main([*run, "--policy", "itb,avg:30"])[0] == 0
+    assert call_main([*run, "--policy", "itb,avg:30"])[0] == 0
 
     def run_on(bad_manifest, bad_trace):
         return ["run", "--manifest", str(bad_manifest), "--bandwidth", str(bad_trace),
@@ -133,7 +121,7 @@ def test_every_mutated_input_exits_0_2_or_3_naming_the_file(tmp_path):
         text, mutate, argv = targets[target]
         bad[target].write_text(mutate(text, rng))
         try:
-            code, err = _main(argv)
+            code, err = call_main(argv)
         except BaseException as exc:  # anything that escapes main
             failures.append(f"case {case} ({target}): {type(exc).__name__}: {exc}")
             continue

@@ -1,6 +1,7 @@
 """Every public top-level function and class in vbrsim has a reader outside the tests,
-every top-level import in vbrsim and in the tests is read by its module, and no
-vbrsim module reads a private attribute of anything but ``self``."""
+every top-level import in vbrsim and in the tests is read by its module, no
+vbrsim module reads a private attribute of anything but ``self``, and the CLI
+tests start a process in one test only."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,14 @@ def test_no_module_reads_a_private_attribute_of_another_object():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert not reads, f"private attributes read from outside their object: {reads}"
+
+
+def test_cli_tests_start_a_process_only_in_the_entry_point_test():
+    # every other CLI test calls main in process, which is several times faster
+    starts = [
+        getattr(node, "name", f"line {node.lineno}")
+        for node in TEST_TREES["test_cli.py"].body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func).startswith("subprocess.")
+    ]
+    assert starts == ["test_python_m_entry_point_exits_2_as_main_does"]

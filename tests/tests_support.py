@@ -1,14 +1,36 @@
-"""Shared test helpers: synthetic session logs and the benchmark's modules."""
+"""Shared test helpers: the CLI in process, the README's inputs, synthetic
+session logs and the benchmark's modules."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
+from vbrsim.cli import main
 from vbrsim.engine import SegmentRecord, SessionLog
 from vbrsim.model import ClientConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+
+
+def call_main(argv):
+    """``cli.main(argv)``'s exit code and stderr; stdout is discarded and
+    anything that escapes ``main`` reaches the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def readme_inputs(directory: Path):
+    """The README's sony-like manifest and rect trace, written into ``directory``."""
+    manifest, trace = directory / "sony.json", directory / "rect.csv"
+    assert main(["gen", "ladder", "--preset", "sony-like", "--out", str(manifest)]) == 0
+    rect = ["gen", "bandwidth", "rect", "2500", "500", "120", "60", "600", "--out", str(trace)]
+    assert main(rect) == 0
+    return manifest, trace
 
 
 def load_perfbench(name: str):
