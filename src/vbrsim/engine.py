@@ -368,7 +368,6 @@ def _block_values(path, block) -> list:
 
 def load_log_jsonl(path) -> SessionLog:
     records = []
-    make_record = SegmentRecord._make
     # the header is line 1 and record i is line i + 2
     lines = enumerate(text_lines(path), 1)
     first = next(lines, None)
@@ -389,7 +388,10 @@ def load_log_jsonl(path) -> SessionLog:
         for (lineno, _), row in zip(block, rows):
             if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
                 _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
-        records.extend(map(make_record, map(_column_values, rows)))
+        # each record is built as the plain tuple it is, as in run_session
+        records.extend(
+            map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))
+        )
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
     cases = (policies.CASE_ITB,) if config.policy == "itb" else policies.AVG_CASES

@@ -3,17 +3,22 @@
 Switch-degree statistics are taken over ALL consecutive version transitions,
 zero-degree transitions included, with the population standard deviation.
 Buffer statistics use the per-segment buffer level sampled after each
-completion (buffer_after), not a time-weighted integral.
+completion (buffer_after), not a time-weighted integral. Means are
+``math.fsum(values) / n``, and each standard deviation is the correctly
+rounded square root of the variance formed from exact integer sums, so both
+equal what ``statistics.fmean`` and ``statistics.pstdev`` return on every
+supported Python without importing that module.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from statistics import fmean, pstdev
+from itertools import islice, repeat
+from operator import itemgetter, mul, sub, truediv
 from typing import NamedTuple
 
-from .engine import SessionLog
+from .engine import LOG_COLUMNS, SessionLog
 
 
 class SessionStats(NamedTuple):
@@ -29,6 +34,13 @@ class SessionStats(NamedTuple):
     total_stall: float
 
 
+# the columns that the statistics read, each taken from a record at C speed
+_VERSION, _SIZE, _BUFFER_AFTER, _STALL = (
+    itemgetter(LOG_COLUMNS.index(name))
+    for name in ("version", "size_bits", "buffer_after_s", "stall_s")
+)
+
+
 def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
     """Summarize a session, optionally dropping the first segments."""
     if not log.records:
@@ -40,28 +52,70 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
             f"warmup_exclude {warmup_exclude} >= record count {len(log.records)}"
         )
     records = log.records[warmup_exclude:]
-    versions = [r.version_requested for r in records]
-    bitrates = [r.size_bits / log.segment_duration for r in records]
-    buffers = [r.buffer_after for r in records]
-    degrees = [abs(b - a) for a, b in zip(versions, versions[1:])]
+    n = len(records)
+    versions = list(map(_VERSION, records))
+    buffers = list(map(_BUFFER_AFTER, records))
+    degrees = list(map(abs, map(sub, islice(versions, 1, None), versions)))
+    bitrates = map(truediv, map(_SIZE, records), repeat(log.segment_duration))
     try:
-        average_bitrate = fmean(bitrates)
+        average_bitrate = math.fsum(bitrates) / n
     except OverflowError:  # fsum's exact sum of finite bitrates passed the float range
         average_bitrate = math.inf
     # the other statistics are versions, their steps and buffer levels, or
     # their spread, all within the range of finite inputs
     return SessionStats(
         average_bitrate=_finite(average_bitrate, "average_bitrate", "size_bits"),
-        average_version=fmean(versions),
+        average_version=math.fsum(versions) / n,
         max_version=max(versions),
         min_version=min(versions),
-        num_switches=sum(1 for d in degrees if d > 0),
+        num_switches=len(degrees) - degrees.count(0),
         max_switch_degree=max(degrees, default=0),
-        std_switch_degrees=pstdev(degrees) if degrees else 0.0,
+        std_switch_degrees=_pstdev(degrees) if degrees else 0.0,
         min_buffer=min(buffers),
-        std_buffer=pstdev(buffers) if len(buffers) > 1 else 0.0,
-        total_stall=_finite(sum(r.stall_time for r in records), "total_stall", "stall_s"),
+        std_buffer=_pstdev(buffers),
+        total_stall=_finite(sum(map(_STALL, records)), "total_stall", "stall_s"),
     )
+
+
+def _pstdev(values: list) -> float:
+    """Population standard deviation of ``values``, correctly rounded.
+
+    The values become exact ints at one power-of-two scale, so the sum and
+    the sum of squares are exact; the square root of the exact variance is
+    then rounded once, by the method of ``statistics.pstdev`` since 3.11.
+    """
+    n = len(values)
+    scaled, scale = _exact_ints(values)
+    # variance = (n * sum(x*x) - sum(x)**2) / (n * scale)**2, exactly
+    total = sum(scaled)
+    num = n * sum(map(mul, scaled, scaled)) - total * total
+    den = (n * scale) ** 2
+    # a root of at least 55 bits, 2 beyond a double's 53, rounded to odd; then
+    # its one rounding to a float is correct
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+
+
+def _exact_ints(values: list) -> tuple:
+    """Ints ``scaled`` and a power of two ``scale`` with each value == scaled[i] / scale."""
+    if all(map(isinstance, values, repeat(int))):  # such as version steps
+        return values, 1
+    biggest = max(map(abs, values))
+    if biggest < 2**53:  # so every int among the values is also a float
+        smallest = min(filter(None, map(abs, values)), default=1)
+        # the ulp of the smallest nonzero magnitude divides every value
+        shift = max(math.frexp(smallest)[1] - 53, -1074)
+        if math.frexp(biggest)[1] - shift <= 1024:  # and scaling overflows none
+            return list(map(int, map(math.ldexp, values, repeat(-shift)))), 1 << -shift
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _finite(value: float, name: str, column: str) -> float:

@@ -9,8 +9,11 @@ have pytest, so they are driven only through ``python -m vbrsim.cli`` with
 When this test was written it ran, beside CPython 3.11.7, under CPython
 3.12.1 and 3.13.0 (pyenv) and 3.13.13 (Anaconda); a ``python3.12`` shim with
 no interpreter behind it failed the probe. The session is the README
-scenario on the seed-7 ladder: its ITB ``std_buffer`` differs in the last
-digit under 3.10, whose ``statistics.pstdev`` is not correctly rounded.
+scenario on the seed-7 ladder: its ITB ``std_buffer`` differed in the last
+digit under 3.10, whose ``statistics.pstdev`` is not correctly rounded, when
+``metrics`` still called it. ``metrics`` now rounds each standard deviation
+once from exact integer sums, so this test guards the other sources of
+drift: float summation, ``repr`` and the JSON and CSV writers.
 """
 
 import glob

@@ -1,5 +1,6 @@
 import math
 import random
+from statistics import pstdev
 
 import pytest
 
@@ -87,6 +88,46 @@ class TestComputeStats:
     def test_refuses_a_statistic_past_the_float_range(self, log, message):
         with pytest.raises(ValueError, match=message):
             compute_stats(log)
+
+
+def _std_grid():
+    """1200 value lists, seed 2026: the kinds that one power-of-two scale
+    holds exactly, and those that it cannot (ints no float holds, ranges
+    wider than 2**970)."""
+    rng = random.Random(2026)
+    kinds = (
+        lambda n: [rng.uniform(0, 60) for _ in range(n)],
+        lambda n: [rng.randint(0, 4) for _ in range(n)],
+        lambda n: [rng.choice((2**53 + 1, 2**60 + 3, 0.5)) for _ in range(n)],
+        lambda n: [rng.choice((5e-324, 1e300)) for _ in range(n)],
+        lambda n: [rng.choice((rng.uniform(0, 60), rng.randint(0, 4), 5e-324))] * n,
+        lambda n: [rng.choice((0, 0.0))] * n,
+    )
+    for i in range(1200):
+        yield kinds[i % len(kinds)](rng.choice((2, 2, 3, 7, 40)))
+
+
+class TestStdExactness:
+    def test_std_buffer_equals_statistics_pstdev(self):
+        grid = list(_std_grid())
+        mismatches = [
+            values
+            for values in grid
+            if compute_stats(make_log([1] * len(values), buffers=values)).std_buffer
+            != pstdev(values)
+        ]
+        assert len(grid) >= 1000
+        assert not mismatches, mismatches[:3]
+
+    def test_std_switch_degrees_equals_statistics_pstdev(self):
+        rng = random.Random(2027)
+        mismatches = []
+        for _ in range(300):
+            versions = [rng.randint(1, 5) for _ in range(rng.choice((2, 3, 40)))]
+            degrees = [abs(b - a) for a, b in zip(versions, versions[1:])]
+            if compute_stats(make_log(versions)).std_switch_degrees != pstdev(degrees):
+                mismatches.append(versions)
+        assert not mismatches, mismatches[:3]
 
 
 class TestBufferCdf:

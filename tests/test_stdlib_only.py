@@ -24,3 +24,13 @@ def test_src_imports_only_the_standard_library():
     for path in SOURCES:
         outside = set(_absolute_imports(path)) - sys.stdlib_module_names
         assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+# statistics imports fractions, decimal and numbers, a few ms of every start-up
+EXACT_ARITHMETIC = {"statistics", "fractions", "decimal"}
+
+
+def test_src_imports_no_exact_arithmetic_module():
+    for path in SOURCES:
+        heavy = set(_absolute_imports(path)) & EXACT_ARITHMETIC
+        assert not heavy, f"{path.name} imports {sorted(heavy)}"
