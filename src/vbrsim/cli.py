@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import engine, metrics, model, scenarios
@@ -23,7 +22,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-CDF_MAX_POINTS = 1000
+# run takes one option per ClientConfig field, except those --policy sets
+_CLIENT_OPTIONS = tuple(
+    f for f in fields(model.ClientConfig) if f.name not in ("window_n", "policy")
+)
+_CLIENT_HELP = {
+    "delta": "throughput smoothing weight",
+    "theta": "QP-model compensation factor",
+    "rtt": "round-trip time in seconds",
+    "uptrend_gate": "which version's representative bitrate gates an up-switch: "
+    "prose or pseudocode",
+}
 
 
 def _policy_configs(args) -> dict:
@@ -32,15 +41,7 @@ def _policy_configs(args) -> dict:
     ``--policy`` is a comma-separated list of "itb", "avg" (AVG-30) and
     "avg:N", each at most once; every other parameter comes from the options.
     """
-    base = model.ClientConfig(
-        beta_min=args.beta_min,
-        beta_max=args.beta_max,
-        delta=args.delta,
-        theta=args.theta,
-        rtt=args.rtt,
-        start_version=args.start_version,
-        uptrend_gate=args.uptrend_gate,
-    )
+    base = model.ClientConfig(**{f.name: getattr(args, f.name) for f in _CLIENT_OPTIONS})
     out = {}
     for part in args.policy.split(","):
         token = part.strip().lower()
@@ -97,17 +98,6 @@ def cmd_run(args) -> int:
     configs = _policy_configs(args)
     warmup = _warmup(args.warmup)
     out_dir = Path(args.out)
-    # the buffer never holds more than beta_max + one segment, nor more
-    # media than the session has; one point per second up to
-    # CDF_MAX_POINTS seconds, a wider whole-second step beyond, and the
-    # last point at or above the top
-    top = min(
-        args.beta_max + manifest.segment_duration,
-        manifest.num_segments * manifest.segment_duration,
-    )
-    step = max(1, math.ceil(top / CDF_MAX_POINTS))
-    grid = [float(g) for g in range(0, math.ceil(top) + step, step)]
-
     sources = f"{args.manifest}, {args.bandwidth}"
     stats_by_label = {}
     for label, cfg in configs.items():
@@ -127,7 +117,7 @@ def cmd_run(args) -> int:
             fh.write(metrics.stats_table({label: stats}))
         with open(out_dir / f"{stem}.cdf.csv", "w") as fh:
             fh.write("level_s,fraction\n")
-            for level, frac in metrics.buffer_cdf(log, grid):
+            for level, frac in metrics.buffer_cdf(log):
                 fh.write(f"{level},{frac}\n")
 
     table = metrics.stats_table(stats_by_label)
@@ -181,20 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="avg",
         help="comma-separated policies: itb, avg (AVG-30), avg:N (default avg)",
     )
-    cfg = model.ClientConfig()
-    run.add_argument("--beta-min", type=float, default=cfg.beta_min, dest="beta_min")
-    run.add_argument("--beta-max", type=float, default=cfg.beta_max, dest="beta_max")
-    run.add_argument("--delta", type=float, default=cfg.delta, help="throughput smoothing weight")
-    run.add_argument("--theta", type=float, default=cfg.theta, help="QP-model compensation factor")
-    run.add_argument("--rtt", type=float, default=cfg.rtt, help="round-trip time in seconds")
-    run.add_argument("--start-version", type=int, default=cfg.start_version, dest="start_version")
-    run.add_argument(
-        "--uptrend-gate",
-        choices=model.UPTREND_GATES,
-        default=cfg.uptrend_gate,
-        dest="uptrend_gate",
-        help="which version's representative bitrate gates an up-switch",
-    )
+    for f in _CLIENT_OPTIONS:
+        run.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=type(f.default),
+            default=f.default,
+            help=_CLIENT_HELP.get(f.name),
+        )
     run.add_argument(
         "--warmup",
         default="0",

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import policies
 from .estimators import EstimatorState
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
-from .model import COUNT, INTEGER, NONNEGATIVE, NUMBER, POSITIVE, STRING
+from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
 from .model import first_invalid, int_range, one_of, valid
 
 
@@ -229,12 +229,13 @@ _case_label = itemgetter(LOG_COLUMNS.index("case"))
 _BLOCK = 64
 
 
-# (header key, SessionLog field, rule); the header also holds "config"
+# (header key, SessionLog field, rule); the header also holds "config". A
+# manifest's QPs are distinct, so it has at most one version per QP
 _HEADER_FIELDS = (
     ("manifest_title", "manifest_title", STRING),
     ("trace_label", "trace_label", STRING),
     ("segment_duration_s", "segment_duration", POSITIVE),
-    ("num_versions", "num_versions", COUNT),
+    ("num_versions", "num_versions", int_range(1, QP_MAX - QP_MIN + 1)),
     ("playback_start_s", "playback_start", POSITIVE),
 )
 _HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 from .engine import LOG_COLUMNS, SessionLog
 
+CDF_MAX_POINTS = 1000
+
 
 class SessionStats(NamedTuple):
     average_bitrate: float
@@ -61,8 +63,8 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
         average_bitrate = math.fsum(bitrates) / n
     except OverflowError:  # fsum's exact sum of finite bitrates passed the float range
         average_bitrate = math.inf
-    # the other statistics are versions, their steps and buffer levels, or
-    # their spread, all within the range of finite inputs
+    # the other statistics are versions (ints no larger than the QP count),
+    # their steps and buffer levels, or their spread, all finite
     return SessionStats(
         average_bitrate=_finite(average_bitrate, "average_bitrate", "size_bits"),
         average_version=math.fsum(versions) / n,
@@ -126,11 +128,20 @@ def _finite(value: float, name: str, column: str) -> float:
     return value
 
 
-def buffer_cdf(log: SessionLog, grid) -> list:
-    """Empirical CDF of buffer_after, evaluated at each grid level."""
-    samples = sorted(r.buffer_after for r in log.records)
+def buffer_cdf(log: SessionLog) -> list:
+    """Empirical CDF of buffer_after, as (level, fraction) pairs.
+
+    The buffer never holds more than beta_max + one segment, nor more media
+    than the session has. The levels are one per second up to CDF_MAX_POINTS
+    seconds, a wider whole-second step beyond, and the last at or above the top.
+    """
+    duration = log.segment_duration
+    top = min(log.config.beta_max + duration, len(log.records) * duration)
+    step = max(1, math.ceil(top / CDF_MAX_POINTS))
+    levels = map(float, range(0, math.ceil(top) + step, step))
+    samples = sorted(map(_BUFFER_AFTER, log.records))
     n = len(samples)
-    return [(level, bisect_right(samples, level) / n) for level in grid]
+    return [(level, bisect_right(samples, level) / n) for level in levels]
 
 
 def warmup_segments(log: SessionLog) -> int:

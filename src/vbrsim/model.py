@@ -54,7 +54,8 @@ def one_of(names) -> tuple:
 
 # The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
 # projection, 2 ** (QP gap / 6), finite.
-QP = int_range(0, 63)
+QP_MIN, QP_MAX = 0, 63
+QP = int_range(QP_MIN, QP_MAX)
 
 
 def valid(values, rule) -> bool:
@@ -172,13 +173,12 @@ class BandwidthTrace:
         return tuple(t for t, _ in self.breakpoints)
 
 
-UPTREND_GATES = ("prose", "pseudocode")
 # The rule each ClientConfig field must meet; the estimator's deque window
 # takes at most sys.maxsize items
 _CONFIG_RULES = {
     "beta_min": POSITIVE, "beta_max": POSITIVE, "window_n": int_range(1, sys.maxsize),
     "delta": POSITIVE, "theta": POSITIVE, "rtt": NONNEGATIVE, "start_version": COUNT,
-    "policy": one_of(("avg", "itb")), "uptrend_gate": one_of(UPTREND_GATES),
+    "policy": one_of(("avg", "itb")), "uptrend_gate": one_of(("prose", "pseudocode")),
 }
 
 

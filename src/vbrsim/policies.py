@@ -102,13 +102,9 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
 
     if buffer >= cfg.beta_min:
         reps = [est.rep_bitrate(k) for k in range(1, est.num_versions + 1)]
-        candidates = [r for r in reps if r < t_est]
-        if candidates:
-            target = max(candidates)
-            if b_instant <= target and reps[current - 1] <= target:
-                nxt = current
-            else:
-                nxt = max(current - 1, 1)
+        target = max((r for r in reps if r < t_est), default=None)
+        if target is not None and b_instant <= target and reps[current - 1] <= target:
+            nxt = current
         else:
             nxt = max(current - 1, 1)
         return Decision(nxt, CASE_DOWNTREND)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import MappingProxyType
 
@@ -12,9 +13,10 @@ import pytest
 from tests_support import call_main, readme_inputs
 
 import vbrsim
-from vbrsim.cli import CDF_MAX_POINTS, main
+from vbrsim.cli import main
 from vbrsim.engine import load_log_jsonl
-from vbrsim.model import load_manifest, load_trace
+from vbrsim.metrics import CDF_MAX_POINTS
+from vbrsim.model import ClientConfig, load_manifest, load_trace
 
 
 @pytest.fixture
@@ -233,6 +235,27 @@ def test_non_integer_warmup_names_the_option(inputs, tmp_path, monkeypatch, comm
     _refused([*args, *out, "--warmup", "abc"], "--warmup must be an integer or 'auto'")
 
 
+# a value other than ClientConfig's default for each client option of run
+_CLIENT_OPTIONS = {
+    "beta_min": 12.0, "beta_max": 45.0, "delta": 0.2, "theta": 1.1, "rtt": 0.05,
+    "start_version": 2, "uptrend_gate": "pseudocode",
+}
+
+
+def test_every_client_option_reaches_the_log_header(inputs, run_logs, tmp_path):
+    manifest, trace = inputs
+    out = tmp_path / "out"
+    options = [f"--{name.replace('_', '-')}={value}" for name, value in _CLIENT_OPTIONS.items()]
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out)]
+    assert call_main([*args, *options])[0] == 0
+    default = asdict(ClientConfig())
+    assert set(default) - set(_CLIENT_OPTIONS) == {"window_n", "policy"}  # --policy sets these
+    config = json.loads((out / "avg-30.jsonl").read_text().partition("\n")[0])["config"]
+    assert config == {**default, **_CLIENT_OPTIONS}
+    # with no option given, run_logs's AVG-30 header holds the defaults
+    assert json.loads(run_logs["avg-30.jsonl"].partition("\n")[0])["config"] == default
+
+
 def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):
     manifest, trace = inputs
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -412,6 +435,11 @@ def _huge_index(header, records):
         pytest.param(
             lambda h, r: r[100].update(version=7), "line 102: field 'version'",
             id="version-above-count",
+        ),
+        pytest.param(
+            lambda h, r: [h.update(num_versions=10**400), *(x.update(version=10**400) for x in r)],
+            "line 1: field 'num_versions' must be an int in 1..64",
+            id="huge-num-versions",
         ),
         pytest.param(
             lambda h, r: r[100].update(version=-5), "line 102: field 'version'",
@@ -614,6 +642,10 @@ def _huge_digits_duration(m):
         pytest.param("args", ["--rtt", "nan"], "rtt", id="nan-rtt"),
         pytest.param("args", ["--beta-max", "inf"], "beta_max", id="inf-beta-max"),
         pytest.param("args", ["--start-version", "7"], "start_version", id="start-version-7"),
+        pytest.param(
+            "args", ["--uptrend-gate", "bogus"], "error: uptrend_gate must be one of",
+            id="unknown-uptrend-gate",
+        ),
         pytest.param("args", ["--policy", "avg:0"], "window_n", id="avg-window-0"),
         pytest.param("args", ["--policy", f"avg:{10**23}"], "window_n", id="avg-window-huge"),
         pytest.param("args", ["--warmup", "400"], "warmup_exclude", id="warmup-400"),

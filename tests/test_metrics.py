@@ -131,20 +131,25 @@ class TestStdExactness:
 
 
 class TestBufferCdf:
+    # a synthetic log has beta_max 50 s, so its levels are whole seconds up
+    # to 50 s + one segment, or up to its media length when that is shorter
     def test_point_mass(self):
-        log = make_log([1] * 5, buffers=[40.0] * 5)
-        assert buffer_cdf(log, [0, 40, 50]) == [(0, 0.0), (40, 1.0), (50, 1.0)]
+        log = make_log([1] * 30, buffers=[40.0] * 30)
+        assert buffer_cdf(log) == [(float(g), 0.0 if g < 40 else 1.0) for g in range(53)]
 
     def test_direct_count(self):
-        log = make_log([1] * 4, buffers=[10.0, 20.0, 30.0, 40.0])
-        assert buffer_cdf(log, [25]) == [(25, 0.5)]
+        log = make_log([1] * 4, buffers=[10.0, 20.0, 30.0, 40.0], duration=15.0)
+        cdf = dict(buffer_cdf(log))
+        assert list(cdf) == [float(g) for g in range(61)]
+        assert (cdf[9.0], cdf[25.0], cdf[39.0], cdf[40.0]) == (0.0, 0.5, 0.75, 1.0)
 
     def test_matches_sort_and_count_oracle(self):
         rng = random.Random(8)
         buffers = [rng.uniform(0, 52) for _ in range(200)]
         log = make_log([1] * 200, buffers=buffers)
-        grid = sorted(rng.uniform(0, 55) for _ in range(20))
-        for level, frac in buffer_cdf(log, grid):
+        cdf = buffer_cdf(log)
+        assert len(cdf) == 53
+        for level, frac in cdf:
             expected = sum(1 for b in buffers if b <= level) / len(buffers)
             assert frac == expected
 
@@ -152,8 +157,7 @@ class TestBufferCdf:
         rng = random.Random(9)
         buffers = [rng.uniform(0, 50) for _ in range(100)]
         log = make_log([1] * 100, buffers=buffers)
-        cdf = buffer_cdf(log, sorted([float(g) for g in range(0, 51)] + [max(buffers)]))
-        fracs = [f for _, f in cdf]
+        fracs = [f for _, f in buffer_cdf(log)]
         assert all(0.0 <= f <= 1.0 for f in fracs)
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == 1.0

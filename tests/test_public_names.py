@@ -1,4 +1,4 @@
-"""Every public top-level function and class in vbrsim has a reader outside the tests,
+"""Every public top-level function, class and constant in vbrsim has a reader outside the tests,
 every top-level import in vbrsim and in the tests is read by its module, no
 vbrsim module reads a private attribute of anything but ``self``, and the CLI
 tests start a process in one test only."""
@@ -34,17 +34,29 @@ def _read(tree) -> set:
     return read
 
 
+def _defined(node) -> list:
+    """The names that the top-level statement ``node`` defines: a function, a
+    class, or each name that an assignment binds, such as a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)]
+
+
 def test_every_public_name_is_read_exported_or_traced():
     kept = set().union(*map(_read, TREES.values())) | set(vbrsim.__all__)
     traced = _traced()
     unread = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in TREES.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in kept
-        and (module, node.name) not in traced
+        for name in _defined(node)
+        if not name.startswith("_") and name not in kept and (module, name) not in traced
     ]
     assert not unread, f"nothing in vbrsim reads {unread}"
 
