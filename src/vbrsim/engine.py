@@ -20,7 +20,6 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
-from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import gt, itemgetter
 from typing import NamedTuple
@@ -60,7 +59,7 @@ class SessionLog:
     playback_start: float
 
 
-def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float = 0.0) -> float:
+def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) -> float:
     """Wall-clock time to fetch ``size`` bits starting at ``start``.
 
     One RTT elapses before the first bit arrives, then the transfer proceeds
@@ -214,14 +213,13 @@ LOG_COLUMNS = (
 _COLUMN_SET = frozenset(LOG_COLUMNS)
 _column_values = itemgetter(*LOG_COLUMNS)
 # One JSONL record line, filled with value text. json.dumps writes an int or a
-# finite float as its repr, and a str through encode_basestring_ascii, so the
+# finite float as its repr, and a policy's case label in plain quotes, so the
 # line has the same bytes as json.dumps(dict(zip(LOG_COLUMNS, record))) for a
 # valid record.
-_RECORD_LINE = "{%s}\n" % ", ".join(f"{json.dumps(column)}: %s" for column in LOG_COLUMNS)
+_RECORD_LINE = "{%s}\n" % ", ".join(
+    f'"{column}": ' + ('"%s"' if column == "case" else "%s") for column in LOG_COLUMNS
+)
 _CSV_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
-# The policies' case labels. None holds a comma, a quote or a line break, so
-# the CSV log is written unquoted, byte for byte as csv.writer would write it.
-_CASES = frozenset(policies.AVG_CASES + (policies.CASE_ITB,))
 _case_label = itemgetter(LOG_COLUMNS.index("case"))
 # Records formatted and written, or log lines parsed, at a time. A block's
 # text and parsed objects take a few tens of kB, so peak memory does not grow
@@ -273,13 +271,7 @@ def _value_text(records):
 
 
 def _jsonl_lines(block) -> str:
-    enc = encode_basestring_ascii
-    return "".join(
-        [
-            _RECORD_LINE % (i, v, size, req, done, tput, before, after, enc(case), stall)
-            for i, v, size, req, done, tput, before, after, case, stall in block
-        ]
-    )
+    return "".join(map(_RECORD_LINE.__mod__, block))
 
 
 def _csv_lines(block) -> str:
@@ -292,23 +284,25 @@ def _jsonl_header(log: SessionLog) -> str:
     return json.dumps(header, sort_keys=True) + "\n"
 
 
-def _check_cases(records) -> None:
-    unknown = set(map(_case_label, records)) - _CASES
+def _check_cases(log: SessionLog) -> None:
+    cases = policies.CASES[log.config.policy]
+    unknown = set(map(_case_label, log.records)).difference(cases)
     if unknown:
         raise ValueError(
-            f"case label {min(unknown)!r} is not one of {sorted(_CASES)}, "
-            f"so it cannot be written to an unquoted CSV log"
+            f"case label {min(unknown)!r} is not one of {sorted(cases)}, "
+            f"the labels of policy {log.config.policy!r}"
         )
 
 
 def save_log_jsonl(log: SessionLog, path) -> None:
+    _check_cases(log)
     with open(path, "w") as fh:
         fh.write(_jsonl_header(log))
         fh.writelines(map(_jsonl_lines, _value_text(log.records)))
 
 
 def save_log_csv(log: SessionLog, path) -> None:
-    _check_cases(log.records)
+    _check_cases(log)
     with open(path, "w", newline="") as fh:
         fh.write(_CSV_HEADER)
         fh.writelines(map(_csv_lines, _value_text(log.records)))
@@ -316,7 +310,7 @@ def save_log_csv(log: SessionLog, path) -> None:
 
 def save_logs(log: SessionLog, jsonl_path, csv_path) -> None:
     """Write both logs of ``log`` from one formatting pass, block by block."""
-    _check_cases(log.records)
+    _check_cases(log)
     with open(jsonl_path, "w") as jsonl_file, open(csv_path, "w", newline="") as csv_file:
         jsonl_file.write(_jsonl_header(log))
         csv_file.write(_CSV_HEADER)
@@ -395,11 +389,10 @@ def load_log_jsonl(path) -> SessionLog:
         )
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
-    cases = (policies.CASE_ITB,) if config.policy == "itb" else policies.AVG_CASES
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column
     rules = (
         INTEGER, int_range(1, header["num_versions"]), POSITIVE, NONNEGATIVE, NUMBER,
-        POSITIVE, NONNEGATIVE, NONNEGATIVE, one_of(cases), NONNEGATIVE,
+        POSITIVE, NONNEGATIVE, NONNEGATIVE, one_of(policies.CASES[config.policy]), NONNEGATIVE,
     )
     columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):

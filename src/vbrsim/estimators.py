@@ -64,7 +64,7 @@ class EstimatorState:
         window = self._windows[version - 1]
         return sum(window) / len(window)
 
-    def update_smoothed_throughput(self, t_instant: float) -> float:
+    def update_smoothed_throughput(self, t_instant: float) -> None:
         """Fold one instant throughput sample into the smoothed estimate."""
         smoothed = self.smoothed_throughput
         if smoothed is None:
@@ -73,7 +73,6 @@ class EstimatorState:
             delta = self.delta
             smoothed = (1.0 - delta) * smoothed + delta * t_instant
         self.smoothed_throughput = smoothed
-        return smoothed
 
     def ingest_segment(self, received_version: int, b_actual: float) -> None:
         """Record the next segment, received at ``received_version``.

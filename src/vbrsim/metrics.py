@@ -45,8 +45,6 @@ _VERSION, _SIZE, _BUFFER_AFTER, _STALL = (
 
 def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
     """Summarize a session, optionally dropping the first segments."""
-    if not log.records:
-        raise ValueError("empty session log")
     if warmup_exclude < 0:
         raise ValueError(f"warmup_exclude must be >= 0, got {warmup_exclude}")
     if warmup_exclude >= len(log.records):

@@ -36,7 +36,9 @@ CASE_DOWNTREND = "downtrend"
 CASE_PANIC = "panic"
 CASE_ITB = "itb"
 
-AVG_CASES = (CASE_UPTREND, CASE_STABLE, CASE_DOWNTREND, CASE_PANIC)
+# The case labels each policy writes to a log. Each is lowercase letters only,
+# so both log formats write it as it is: unquoted in CSV, in plain quotes in JSONL.
+CASES = {"avg": (CASE_UPTREND, CASE_STABLE, CASE_DOWNTREND, CASE_PANIC), "itb": (CASE_ITB,)}
 
 
 class Decision(NamedTuple):

@@ -378,21 +378,18 @@ class TestLogSerialization:
             lambda: rng.uniform(-1e6, 1e6),
             lambda: rng.random() * 10.0 ** rng.randint(-300, 300),
         )
-        labels = (
-            "stable", 'say "hi"', "back\\slash", "\x00\x07\t\n\x1f\x7f", "é", "日本", "😀", "\u2028"
-        )
+        log = synthetic_log([1, 2])
         records = tuple(
             SegmentRecord(
                 rng.choice((rng.randint(0, 10**4), 2**70)),
                 rng.randint(1, 6),
                 *(rng.choice(numbers)() for _ in range(6)),
-                "".join(rng.choices(labels, k=rng.randint(0, 3))),
+                rng.choice(policies.CASES[log.config.policy]),
                 rng.choice(numbers)(),
             )
             for _ in range(2000)
         )
-        log = replace(synthetic_log([1, 2]), records=records)
-        # most of these labels cannot go in an unquoted CSV log, so save_logs refuses them
+        log = replace(log, records=records)
         save_log_jsonl(log, tmp_path / "log.jsonl")
         lines = (tmp_path / "log.jsonl").read_text().split("\n")
         assert lines[-1] == "" and len(lines) == len(records) + 2
@@ -514,16 +511,27 @@ class TestLogSerialization:
             )
         assert written == recorded
 
-    def test_csv_rejects_unknown_case_label(self, tmp_path):
-        log = synthetic_log([1, 2, 1])
-        records = log.records[:2] + (log.records[2]._replace(case_label='odd,"label"'),)
-        odd = replace(log, records=records)
-        with pytest.raises(ValueError, match="'odd,\"label\"'"):
-            save_logs(odd, tmp_path / "log.jsonl", tmp_path / "log.csv")
-        with pytest.raises(ValueError, match="'odd,\"label\"'"):
-            save_log_csv(odd, tmp_path / "log.csv")
-        save_log_jsonl(odd, tmp_path / "odd.jsonl")
-        assert '"case": "odd,\\"label\\""' in (tmp_path / "odd.jsonl").read_text()
+    def test_writers_refuse_a_case_label_outside_the_policy(self, tmp_path):
+        avg = synthetic_log([1, 2, 1])
+        itb = replace(avg, config=ClientConfig(policy="itb"))
+        itb = replace(itb, records=tuple(r._replace(case_label="itb") for r in itb.records))
+        writers = (
+            lambda log: save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv"),
+            lambda log: save_log_jsonl(log, tmp_path / "log.jsonl"),
+            lambda log: save_log_csv(log, tmp_path / "log.csv"),
+        )
+        for log, label in ((avg, 'odd,"label"'), (avg, "itb"), (itb, "stable")):
+            # one foreign label, after two the policy writes
+            odd = log.records[2]._replace(case_label=label)
+            bad = replace(log, records=log.records[:2] + (odd,))
+            for write in writers:
+                with pytest.raises(ValueError, match=re.escape(f"case label {label!r}")):
+                    write(bad)
+                assert list(tmp_path.iterdir()) == []
+        # the same logs without the foreign label are written
+        for write in writers:
+            write(avg)
+            write(itb)
 
     def _long_log_lines(self, tmp_path):
         """A written log of more than two parse blocks, as a list of lines."""

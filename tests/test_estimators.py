@@ -17,21 +17,21 @@ def brute_force_rep(history, window_n):
 class TestSmoothedThroughput:
     def test_first_sample_passes_through(self):
         est = EstimatorState((30, 24), ClientConfig(window_n=10))
-        assert est.update_smoothed_throughput(1_500_000) == 1_500_000
+        est.update_smoothed_throughput(1_500_000)
+        assert est.smoothed_throughput == 1_500_000
 
     def test_weighted_update(self):
         est = EstimatorState((30, 24), ClientConfig(window_n=10))
         est.update_smoothed_throughput(1_000_000)
-        out = est.update_smoothed_throughput(2_000_000)
-        assert out == pytest.approx(1_100_000, rel=1e-12)
+        est.update_smoothed_throughput(2_000_000)
+        assert est.smoothed_throughput == pytest.approx(1_100_000, rel=1e-12)
 
     def test_fixed_point(self):
         for delta in (0.05, 0.1, 0.5, 1.0):
             est = EstimatorState((30, 24), ClientConfig(window_n=10, delta=delta))
             est.update_smoothed_throughput(777_000)
-            assert est.update_smoothed_throughput(777_000) == pytest.approx(
-                777_000, rel=1e-12
-            )
+            est.update_smoothed_throughput(777_000)
+            assert est.smoothed_throughput == pytest.approx(777_000, rel=1e-12)
 
     def test_bounded_by_sample_extremes(self):
         rng = random.Random(11)
@@ -39,8 +39,8 @@ class TestSmoothedThroughput:
             est = EstimatorState((30, 24), ClientConfig(window_n=10))
             samples = [rng.uniform(1e4, 1e7) for _ in range(rng.randint(1, 40))]
             for s in samples:
-                out = est.update_smoothed_throughput(s)
-                assert min(samples) <= out <= max(samples)
+                est.update_smoothed_throughput(s)
+                assert min(samples) <= est.smoothed_throughput <= max(samples)
 
     def test_monotone_in_any_single_sample(self):
         rng = random.Random(12)
@@ -52,10 +52,10 @@ class TestSmoothedThroughput:
             cfg = ClientConfig(window_n=10)
             est_a, est_b = EstimatorState((30, 24), cfg), EstimatorState((30, 24), cfg)
             for s in samples:
-                out_a = est_a.update_smoothed_throughput(s)
+                est_a.update_smoothed_throughput(s)
             for s in bumped:
-                out_b = est_b.update_smoothed_throughput(s)
-            assert out_b >= out_a
+                est_b.update_smoothed_throughput(s)
+            assert est_b.smoothed_throughput >= est_a.smoothed_throughput
 
     def test_rejects_nonpositive(self):
         # a throughput of 0.0 is refused in the session loop

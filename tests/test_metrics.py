@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from statistics import pstdev
 
 import pytest
@@ -75,6 +76,8 @@ class TestComputeStats:
             compute_stats(log, warmup_exclude=3)
         with pytest.raises(ValueError):
             compute_stats(log, warmup_exclude=-1)
+        with pytest.raises(ValueError, match="warmup_exclude 0 >= record count 0"):
+            compute_stats(replace(log, records=()))
 
     @pytest.mark.parametrize(
         "log, message",

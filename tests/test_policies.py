@@ -1,12 +1,17 @@
+import csv
+import io
+import json
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
 
+from tests_support import load_tracer
 from vbrsim.model import ClientConfig, ClientView
 from vbrsim.policies import (
-    AVG_CASES,
+    CASES,
     avg_decide,
     decide,
     flexible_threshold,
@@ -241,7 +246,7 @@ class TestAvgDecide:
             view = make_view(buffer_level=buffer, last_version=current, t_instant=t)
             est = make_est(reps=reps, latest=latest, smoothed=rng.uniform(1e5, 5e6))
             d = avg_decide(view, est, cfg)
-            assert d.case_label in AVG_CASES
+            assert d.case_label in CASES["avg"]
             th = flexible_threshold(t, latest[current - 1], cfg.beta_min, cfg.beta_max)
             assert cfg.beta_min < th < cfg.beta_max
             if buffer > cfg.beta_max:
@@ -376,3 +381,22 @@ class TestDispatch:
         )
         assert decide(view, est, ClientConfig(policy="avg")).case_label == "panic"
         assert decide(view, est, ClientConfig(policy="itb")).case_label == "itb"
+
+
+class TestCaseLabels:
+    def test_labels_agree_with_the_policy_names_and_the_benchmark(self):
+        labels = [label for policy_labels in CASES.values() for label in policy_labels]
+        # the benchmark's policies.case.*_frac metrics cover every label
+        assert set(load_tracer().CASES) == set(labels)
+        # a config names exactly the policies that have labels
+        for policy in CASES:
+            assert ClientConfig(policy=policy).policy == policy
+        with pytest.raises(ValueError, match=re.escape(f"policy must be one of {sorted(CASES)}")):
+            ClientConfig(policy="none")
+        # the log writers put a label in plain quotes in JSONL and unquoted in CSV
+        for label in labels:
+            assert re.fullmatch("[a-z]+", label)
+            assert json.dumps(label) == f'"{label}"'
+            row = io.StringIO()
+            csv.writer(row).writerow([label, label])
+            assert row.getvalue() == f"{label},{label}\r\n"
