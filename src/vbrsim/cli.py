@@ -72,9 +72,12 @@ def _warmup(arg: str) -> int | None:
     if arg == "auto":
         return None
     try:
-        return int(arg)
+        warmup = int(arg)
     except ValueError:
-        raise ValueError(f"--warmup must be an integer or 'auto', got {arg!r}") from None
+        warmup = -1  # refused below, as a negative count is
+    if warmup < 0:
+        raise ValueError(f"--warmup must be an integer >= 0 or 'auto', got {arg!r}")
+    return warmup
 
 
 def _session_stats(log: engine.SessionLog, warmup: int | None, source: str):

@@ -28,7 +28,7 @@ from . import policies
 from .estimators import EstimatorState
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
 from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
-from .model import first_invalid, int_range, one_of, valid
+from .model import first_invalid, int_range, one_of, segment_size, valid
 
 
 class SegmentRecord(NamedTuple):
@@ -147,16 +147,13 @@ def run_session(
                 stall = 0.0
             buffer += duration
 
-            # quotients of finite numbers > 0 can still round to 0.0 or inf
-            b_actual = size / duration
-            if not 0.0 < b_actual < inf:
-                problem = f"has bitrate {b_actual}, not a finite number > 0"
-                raise _download_error(size, clock, problem)
+            # the manifest's size rule keeps size / duration finite and > 0, but
+            # size / elapsed can still round to 0.0 or inf
             t_instant = size / elapsed
             if not 0.0 < t_instant < inf:
                 problem = f"has throughput {t_instant}, not a finite number > 0"
                 raise _download_error(size, clock, problem)
-            ingest(version, b_actual)
+            ingest(version, size / duration)
             update_throughput(t_instant)
 
             # ClientView(buffer_level, last_version, last_throughput)
@@ -391,22 +388,17 @@ def load_log_jsonl(path) -> SessionLog:
         raise ValueError(f"{path}: log has no records")
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column
     rules = (
-        INTEGER, int_range(1, header["num_versions"]), POSITIVE, NONNEGATIVE, NUMBER,
-        POSITIVE, NONNEGATIVE, NONNEGATIVE, one_of(policies.CASES[config.policy]), NONNEGATIVE,
+        INTEGER, int_range(1, header["num_versions"]), segment_size(header["segment_duration_s"]),
+        NONNEGATIVE, NUMBER, POSITIVE, NONNEGATIVE, NONNEGATIVE,
+        one_of(policies.CASES[config.policy]), NONNEGATIVE,
     )
     columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):
         i = first_invalid(column, rule)
         if i is not None:
             raise _value_error(path, i + 2, name, column[i], rule[2])
-    # the checks that read more than one value; a bitrate, size / duration,
-    # is monotone in size, so the smallest and largest sizes bound them all
-    index, _, size, request, completion = columns[:5]
-    duration = header["segment_duration_s"]
-    for bits in (min(size), max(size)):
-        if not 0.0 < bits / duration < inf:
-            wording = f"finite and > 0 when divided by segment_duration_s {duration!r}"
-            raise _value_error(path, size.index(bits) + 2, "size_bits", bits, wording)
+    # the checks that read more than one value
+    index, _, _, request, completion = columns[:5]
     if index != tuple(range(len(index))):
         i = next(i for i, value in enumerate(index) if value != i)
         raise _value_error(path, i + 2, "index", index[i], "the record's position")

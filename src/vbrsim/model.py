@@ -12,9 +12,9 @@ import csv
 import itertools
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,7 +22,8 @@ from typing import NamedTuple
 def _finite(values) -> bool:
     """True when every value converts to a finite float."""
     try:
-        return all(map(math.isfinite, values))
+        # a float sum is finite only if every value is, and is cheaper to test
+        return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))
     except OverflowError:  # an int too large for a float
         return False
 
@@ -50,6 +51,17 @@ def int_range(lo: int, hi: int) -> tuple:
 def one_of(names) -> tuple:
     """The rule of a string that is one of ``names``."""
     return (frozenset({str}), frozenset(names).issuperset, f"one of {sorted(names)}")
+
+
+def segment_size(duration) -> tuple:
+    """The rule of a segment's size in bits: it and its bitrate, size / ``duration``,
+    are finite and > 0. Only the smallest and largest sizes are divided, as
+    the bitrate is monotone in the size."""
+    return (
+        frozenset({int, float}),
+        lambda v: _finite(v) and min(v) / duration > 0.0 and max(v) / duration < math.inf,
+        f"a finite number > 0 whose bitrate over {duration!r} s is finite and > 0",
+    )
 
 
 # The codec QP range (H.264/HEVC use 0..51); it keeps every QP-model
@@ -106,6 +118,7 @@ class VideoManifest:
                 f"need one segment_sizes list per qp: {len(qps)} qps, "
                 f"{len(self.segment_sizes)} lists"
             )
+        size = segment_size(self.segment_duration)
         rows = []
         for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
             check(qp, QP, f"version {k}: qp")
@@ -115,9 +128,9 @@ class VideoManifest:
                 )
             if not sizes:
                 raise ValueError(f"version {k} has no segments")
-            i = first_invalid(sizes, POSITIVE)
+            i = first_invalid(sizes, size)
             if i is not None:
-                check(sizes[i], POSITIVE, f"version {k} segment {i}: size")
+                check(sizes[i], size, f"version {k} segment {i}: size")
             rows.append(tuple(sizes))
         counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
@@ -146,31 +159,30 @@ class BandwidthTrace:
 
     ``breakpoints`` is a sequence of (start_time_s, bandwidth_bps) pairs with
     strictly increasing start times beginning at 0. The last piece extends
-    forever, so a session can always finish.
+    forever, so a session can always finish. Times and bandwidths are stored
+    as floats, and ``starts`` holds the start times alone, for lookups.
     """
 
     breakpoints: tuple
+    starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bps = tuple((float(t), float(bw)) for t, bw in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bps)
-        if not bps:
+        if not self.breakpoints:
             raise ValueError("trace needs at least one breakpoint")
-        if bps[0][0] != 0.0:
-            raise ValueError(f"first breakpoint must start at t=0, got {bps[0][0]}")
-        for (t0, _), (t1, _) in zip(bps, bps[1:]):
-            if not t0 < t1 < math.inf:
-                raise ValueError(
-                    f"breakpoint times must be finite and strictly increase ({t0} then {t1})"
-                )
-        for t, bw in bps:
-            if not 0 < bw < math.inf:
-                raise ValueError(f"bandwidth must be finite and > 0, got {bw} at t={t}")
-
-    @cached_property
-    def starts(self) -> tuple:
-        """Breakpoint start times, built on first read and kept for lookups."""
-        return tuple(t for t, _ in self.breakpoints)
+        times = [t for t, _ in self.breakpoints]
+        bandwidths = [bw for _, bw in self.breakpoints]
+        for values, rule, name in ((times, NUMBER, "time"), (bandwidths, POSITIVE, "bandwidth")):
+            i = first_invalid(values, rule)
+            if i is not None:
+                check(values[i], rule, f"breakpoint {i}: {name}")
+        if times[0] != 0:
+            raise ValueError(f"breakpoint 0: time must be 0, got {times[0]!r}")
+        if not all(map(operator.lt, times, times[1:])):
+            i = next(i for i in range(1, len(times)) if not times[i - 1] < times[i])
+            raise ValueError(f"breakpoint {i}: time must be > {times[i - 1]!r}, got {times[i]!r}")
+        starts = tuple(map(float, times))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "breakpoints", tuple(zip(starts, map(float, bandwidths))))
 
 
 # The rule each ClientConfig field must meet; the estimator's deque window

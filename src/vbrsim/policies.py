@@ -30,15 +30,9 @@ from typing import NamedTuple
 from .estimators import EstimatorState
 from .model import ClientConfig, ClientView
 
-CASE_UPTREND = "uptrend"
-CASE_STABLE = "stable"
-CASE_DOWNTREND = "downtrend"
-CASE_PANIC = "panic"
-CASE_ITB = "itb"
-
 # The case labels each policy writes to a log. Each is lowercase letters only,
 # so both log formats write it as it is: unquoted in CSV, in plain quotes in JSONL.
-CASES = {"avg": (CASE_UPTREND, CASE_STABLE, CASE_DOWNTREND, CASE_PANIC), "itb": (CASE_ITB,)}
+CASES = {"avg": ("uptrend", "stable", "downtrend", "panic"), "itb": ("itb",)}
 
 
 class Decision(NamedTuple):
@@ -92,7 +86,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
             gated = current + 1 if cfg.uptrend_gate == "prose" else current
             if est.rep_bitrate(gated) < t_est:
                 nxt = current + 1
-        return Decision(nxt, CASE_UPTREND)
+        return Decision(nxt, "uptrend")
 
     # computed only at or below beta_max, where it is read. Stable is tested
     # before panic, as in the paper: where the threshold rounds below
@@ -100,7 +94,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     threshold = flexible_threshold(t_instant, b_instant, cfg.beta_min, cfg.beta_max)
     if buffer >= threshold:
         # includes buffer == beta_max: a full buffer is no reason to switch
-        return Decision(current, CASE_STABLE)
+        return Decision(current, "stable")
 
     if buffer >= cfg.beta_min:
         reps = [est.rep_bitrate(k) for k in range(1, est.num_versions + 1)]
@@ -109,17 +103,17 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
             nxt = current
         else:
             nxt = max(current - 1, 1)
-        return Decision(nxt, CASE_DOWNTREND)
+        return Decision(nxt, "downtrend")
 
     # quality increases are reserved for the uptrend regime, so the panic
     # choice never exceeds the current version
     nxt = min(select_panic_version(est.latest_bitrates, t_instant), current)
-    return Decision(nxt, CASE_PANIC)
+    return Decision(nxt, "panic")
 
 
 def itb_decide(view: ClientView, est: EstimatorState) -> Decision:
     """Reference policy: instant-feasibility selection on every segment."""
-    return Decision(select_panic_version(est.latest_bitrates, view.last_throughput), CASE_ITB)
+    return Decision(select_panic_version(est.latest_bitrates, view.last_throughput), "itb")
 
 
 def decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Decision:

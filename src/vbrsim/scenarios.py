@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass, replace
 from random import NV_MAGICCONST
 
-from .model import NUMBER, POSITIVE, BandwidthTrace, VideoManifest, check, first_invalid
-from .model import int_range, one_of, valid
+from .model import NONNEGATIVE, NUMBER, POSITIVE, BandwidthTrace, VideoManifest, check
+from .model import first_invalid, int_range, one_of, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -54,8 +54,6 @@ class LadderSpec:
             raise ValueError(
                 f"expected {len(self.qps)} target bitrates, got {len(self.target_avg_bitrates)}"
             )
-        if any(hi >= lo for lo, hi in zip(self.qps, self.qps[1:])):
-            raise ValueError(f"qps must strictly decrease with version index, got {self.qps}")
         i = first_invalid(self.target_avg_bitrates, POSITIVE)
         if i is not None:
             check(self.target_avg_bitrates[i], POSITIVE, "target bitrates")
@@ -63,11 +61,10 @@ class LadderSpec:
             raise ValueError("target bitrates must strictly increase with version index")
         check(self.segment_count, int_range(1, MAX_LADDER_SEGMENTS), "segment_count")
         check(self.segment_duration, POSITIVE, "segment_duration")
+        check(self.burstiness, NONNEGATIVE, "burstiness")
         # the log-normal variance log(1 + cv**2) needs a finite square
-        if not (self.burstiness >= 0 and valid((self.burstiness * self.burstiness,), NUMBER)):
-            raise ValueError(
-                f"burstiness must be >= 0 with a finite square, got {self.burstiness}"
-            )
+        if not valid((self.burstiness * self.burstiness,), NUMBER):
+            raise ValueError(f"burstiness must have a finite square, got {self.burstiness}")
 
     @property
     def num_versions(self) -> int:

@@ -232,7 +232,8 @@ def test_non_integer_warmup_names_the_option(inputs, tmp_path, monkeypatch, comm
         "stats": ["stats", "--log", str(tmp_path / "avg-30.jsonl")],
     }[command]
     out = ["--out", str(tmp_path / "o")]
-    _refused([*args, *out, "--warmup", "abc"], "--warmup must be an integer or 'auto'")
+    for warmup in ("abc", "-1"):
+        _refused([*args, *out, "--warmup", warmup], "--warmup must be an integer >= 0 or 'auto'")
 
 
 # a value other than ClientConfig's default for each client option of run
@@ -455,19 +456,23 @@ def _huge_index(header, records):
             "line 11: field 'size_bits' must be a finite number > 0",
             id="negative-size",
         ),
+        # every bitrate overflows, so the first line names it
         pytest.param(
             lambda h, r: h.update(segment_duration_s=1e-305),
-            "field 'size_bits' must be finite and > 0 when divided by segment_duration_s 1e-305",
+            "line 2: field 'size_bits' must be a finite number > 0 whose bitrate over 1e-305 s "
+            "is finite and > 0",
             id="bitrate-overflow",
         ),
         pytest.param(
             lambda h, r: r[9].update(size_bits=5e-324),
-            "line 11: field 'size_bits' must be finite and > 0 when divided by segment_duration_s",
+            "line 11: field 'size_bits' must be a finite number > 0 whose bitrate over 2.0 s "
+            "is finite and > 0, got 5e-324",
             id="bitrate-underflow",
         ),
         pytest.param(
             lambda h, r: (h.update(segment_duration_s=0.5), r[9].update(size_bits=1e308)),
-            "line 11: field 'size_bits' must be finite and > 0 when divided by segment_duration_s",
+            "line 11: field 'size_bits' must be a finite number > 0 whose bitrate over 0.5 s "
+            "is finite and > 0, got 1e+308",
             id="bitrate-overflow-on-one-line",
         ),
         pytest.param(
@@ -567,6 +572,18 @@ def _set_bytes_size(value):
     return edit
 
 
+def _sizes(size_bits, **fields):
+    """A manifest edit: every segment of every version is ``size_bits`` bits,
+    and ``fields`` replace top-level fields."""
+
+    def edit(m):
+        m.update(fields)
+        for version in m["versions"]:
+            version["segment_sizes"] = [size_bits] * len(version["segment_sizes"])
+
+    return edit
+
+
 def _set_trace_row(row):
     return lambda lines: lines.__setitem__(2, row)  # replaces "120.0,500.0"
 
@@ -625,6 +642,23 @@ def _huge_digits_duration(m):
         pytest.param(
             "manifest", lambda m: m["versions"][5].update(qp=-1), "qp", id="qp-negative"
         ),
+        pytest.param(
+            "manifest", lambda m: m["versions"][2].update(segment_sizes=[]),
+            "version 3 has no segments", id="empty-sizes",
+        ),
+        # size_bits / 2 s rounds to 0.0, and size_bits / 1e-305 s overflows to inf
+        pytest.param(
+            "manifest", _sizes(5e-324),
+            "version 1 segment 0: size must be a finite number > 0 whose bitrate over 2.0 s "
+            "is finite and > 0, got 5e-324",
+            id="bitrate-underflow",
+        ),
+        pytest.param(
+            "manifest", _sizes(1e6, segment_duration_s=1e-305),
+            "version 1 segment 0: size must be a finite number > 0 whose bitrate over 1e-305 s "
+            "is finite and > 0, got 1000000.0",
+            id="bitrate-overflow",
+        ),
         pytest.param("trace", _set_trace_row("120.0,nan"), "bandwidth", id="nan-bandwidth"),
         pytest.param("trace", _set_trace_row("120.0,inf"), "bandwidth", id="inf-bandwidth"),
         pytest.param("trace", _set_trace_row("nan,500.0"), "breakpoint", id="nan-time"),
@@ -633,6 +667,10 @@ def _huge_digits_duration(m):
             id="oversized-trace-field",
         ),
         pytest.param("trace", lambda lines: _NOT_UTF8, "codec can't decode", id="non-utf8-trace"),
+        pytest.param(
+            "trace", lambda lines: lines.__delitem__(slice(1, None)),
+            "trace needs at least one breakpoint", id="header-only-trace",
+        ),
         pytest.param(
             "trace", lambda lines: _bad_byte_on_line_101([*lines[:1], *_RECT_ROWS]), _LINE_101,
             id="non-utf8-trace-line-101",
@@ -647,6 +685,11 @@ def _huge_digits_duration(m):
             id="unknown-uptrend-gate",
         ),
         pytest.param("args", ["--policy", "avg:0"], "window_n", id="avg-window-0"),
+        pytest.param(
+            "args", ["--policy", "avg:x"], "bad policy spec 'avg:x': window must be an integer",
+            id="avg-window-not-integer",
+        ),
+        pytest.param("args", ["--policy", ","], "no policies given", id="no-policies"),
         pytest.param("args", ["--policy", f"avg:{10**23}"], "window_n", id="avg-window-huge"),
         pytest.param("args", ["--warmup", "400"], "warmup_exclude", id="warmup-400"),
         pytest.param("args", ["--policy", "avg:30,avg"], "AVG-30", id="repeated-avg"),
@@ -704,18 +747,6 @@ def test_deeply_nested_json_exits_2(inputs, run_logs, tmp_path, command, text, m
     _refused([command, *args], f"{bad}: {message}")
 
 
-def _sizes(size_bits, **fields):
-    """A manifest edit: every segment of every version is ``size_bits`` bits,
-    and ``fields`` replace top-level fields."""
-
-    def edit(m):
-        m.update(fields)
-        for version in m["versions"]:
-            version["segment_sizes"] = [size_bits] * len(version["segment_sizes"])
-
-    return edit
-
-
 def _refused_run(inputs, tmp_path, edit, trace_rows, extra):
     """Run on an edited manifest (and optional trace rows), which must be
     refused; return both input paths and stderr."""
@@ -748,13 +779,6 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
 @pytest.mark.parametrize(
     "edit, trace_rows, extra, message",
     [
-        # size_bits / 2 s rounds to 0.0
-        pytest.param(
-            _sizes(5e-324), None, [],
-            "size_bits 5e-324 requested at request_time_s 0.0 has bitrate 0.0, "
-            "not a finite number > 0",
-            id="bitrate",
-        ),
         # theta * bitrate * 2 projects version 1's bitrate onto 0.0 for version 2
         pytest.param(
             _sizes(1e-310), None, ["--theta", "1e-20"], "bitrate must be > 0, got 0.0 for version 2",
@@ -766,13 +790,6 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
             "size_bits 1e-320 requested at request_time_s 0.0 has throughput 0.0, "
             "not a finite number > 0",
             id="throughput",
-        ),
-        # size_bits / 1e-305 s overflows to inf
-        pytest.param(
-            _sizes(1e6, segment_duration_s=1e-305), None, [],
-            "size_bits 1000000.0 requested at request_time_s 0.0 has bitrate inf, "
-            "not a finite number > 0",
-            id="overflow",
         ),
         # on a link at the largest float bandwidth, size / (size / bandwidth)
         # rounds past the largest float when the download time is subnormal
@@ -787,9 +804,10 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
 def test_run_rejects_a_value_that_underflows_to_zero(
     inputs, tmp_path, edit, trace_rows, extra, message
 ):
-    # the session loop's own guards: no input check can see these, as each
-    # input is finite and > 0 and only the session's arithmetic makes a zero
-    # or an inf
+    # the session's own guards: every input, and every segment's bitrate
+    # size / segment_duration_s, is finite and > 0 when the manifest loads, and
+    # only the session's arithmetic (a projected bitrate, a throughput) makes
+    # a zero or an inf
     manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
     assert f"{manifest}, {trace}: segment 0: " in stderr
     assert message in stderr

@@ -10,6 +10,7 @@ from tests_support import synthetic_log
 
 from vbrsim.engine import download_time, load_log_jsonl, save_logs
 from vbrsim.model import (
+    POSITIVE,
     BandwidthTrace,
     ClientConfig,
     VideoManifest,
@@ -18,8 +19,10 @@ from vbrsim.model import (
     manifest_from_dict,
     save_manifest,
     save_trace,
+    segment_size,
     text_lines,
 )
+from vbrsim.scenarios import LadderSpec, gen_rect_bandwidth
 
 
 def make_manifest(sizes_by_version=None, duration=2.0):
@@ -56,6 +59,8 @@ class TestManifestInvariants:
     def test_segment_counts_must_match(self):
         with pytest.raises(ValueError):
             make_manifest([(100, 100), (200, 200, 200)])
+        with pytest.raises(ValueError, match="need one segment_sizes list per qp: 3 qps, 2 lists"):
+            VideoManifest("bad", 2.0, qps=(48, 42, 38), segment_sizes=((100,), (200,)))
 
     def test_qp_must_decrease_with_index(self):
         with pytest.raises(ValueError):
@@ -116,17 +121,26 @@ class TestBandwidthAt:
             assert download_time(trace, t, bw * 0.5, 0.0) == 0.5
 
     def test_invalid_traces(self):
-        with pytest.raises(ValueError):
-            BandwidthTrace(((1.0, 1e6),))  # must start at 0
-        with pytest.raises(ValueError):
-            BandwidthTrace(((0.0, 1e6), (0.0, 2e6)))  # strictly increasing
-        with pytest.raises(ValueError):
-            BandwidthTrace(((0.0, 0.0),))  # positive bandwidth
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                BandwidthTrace(((0.0, bad),))  # finite bandwidth
-            with pytest.raises(ValueError, match="finite"):
-                BandwidthTrace(((0.0, 1e6), (bad, 2e6)))  # finite start times
+        with pytest.raises(ValueError, match="^breakpoint 0: time must be 0, got 1.0$"):
+            BandwidthTrace(((1.0, 1e6),))
+        with pytest.raises(ValueError, match="^breakpoint 2: time must be > 5.0, got 5.0$"):
+            BandwidthTrace(((0.0, 1e6), (5.0, 2e6), (5.0, 3e6)))
+        with pytest.raises(ValueError, match="^breakpoint 2: time must be > 5, got 3$"):
+            BandwidthTrace(((0, 1e6), (5, 2e6), (3, 3e6)))
+        with pytest.raises(ValueError, match="^trace needs at least one breakpoint$"):
+            BandwidthTrace(())
+        # the time rule, NUMBER; the bandwidth rule, POSITIVE, is in the grid below
+        for bad in (math.nan, math.inf, 10**400, None, True, "1"):
+            with pytest.raises(ValueError, match="^breakpoint 1: time must be a finite number, got"):
+                BandwidthTrace(((0.0, 1e6), (bad, 2e6)))
+        with pytest.raises(ValueError, match="^breakpoint 0: bandwidth must be"):
+            BandwidthTrace(((0, None),))
+
+    def test_values_are_stored_as_floats(self):
+        trace = BandwidthTrace([[0, 2_500_000], [100, 5e5]])
+        assert trace.breakpoints == ((0.0, 2.5e6), (100.0, 5e5)) == tuple(trace.breakpoints)
+        assert {type(v) for pair in trace.breakpoints for v in pair} == {float}
+        assert type(trace.breakpoints[0]) is tuple and type(trace.starts[0]) is float
 
 
 class TestClientConfig:
@@ -255,8 +269,9 @@ class TestFileFormats:
         assert load_trace(path) == trace
 
     def test_trace_kbps_scaling(self, tmp_path):
+        # a blank line in a trace is skipped
         path = tmp_path / "t.csv"
-        path.write_text("time_s,bandwidth_kbps\n0,2500\n100,500\n")
+        path.write_text("time_s,bandwidth_kbps\n0,2500\n\n100,500\n\n")
         trace = load_trace(path)
         assert trace.breakpoints == ((0.0, 2_500_000.0), (100.0, 500_000.0))
 
@@ -315,26 +330,45 @@ class TestWritersMatchTheStdlib:
     """save_manifest and save_trace write what json.dump and csv.writer do."""
 
     def test_manifest_bytes(self, tmp_path):
+        def fits(size, duration):
+            # the size rule: a bitrate, size / duration, finite and > 0
+            return 0.0 < size / duration < math.inf
+
+        # a size whose bitrate over its duration is not finite and > 0 is refused
+        for duration in _DURATIONS:
+            for size in _SIZES:
+                if not fits(size, duration):
+                    with pytest.raises(ValueError, match="^version 1 segment 0: size must be"):
+                        VideoManifest("t", duration, (48, 42), ((size,), (1,)))
+
         rng = random.Random(15)
+
+        def draw(duration):
+            # a special size or a common one; where its bitrate is not finite
+            # and > 0, a special size whose bitrate is
+            if rng.random() < 0.3:
+                size = rng.choice(_SIZES)
+            else:
+                size = rng.choice((rng.randint(1, 10**7), rng.uniform(1.0, 1e7)))
+            if fits(size, duration):
+                return size
+            return rng.choice([size for size in _SIZES if fits(size, duration)])
+
         got, want = tmp_path / "got.json", tmp_path / "want.json"
+        written = set()
         for case in range(60):
             versions = 2 + case % 7
             segments = 1 if case % 4 == 0 else rng.randint(2, 30)
             qps = sorted(rng.sample(range(64), versions), reverse=True)
-            sizes = [
-                [
-                    rng.choice(_SIZES)
-                    if rng.random() < 0.3
-                    else rng.choice((rng.randint(1, 10**7), rng.uniform(1.0, 1e7)))
-                    for _ in range(segments)
-                ]
-                for _ in range(versions)
-            ]
+            duration = _DURATIONS[case % len(_DURATIONS)]
+            sizes = [[draw(duration) for _ in range(segments)] for _ in range(versions)]
             title = _TITLES[case % len(_TITLES)]
-            m = VideoManifest(title, _DURATIONS[case % len(_DURATIONS)], qps, sizes)
+            m = VideoManifest(title, duration, qps, sizes)
             save_manifest(m, got)
             _json_dump_manifest(m, want)
             assert got.read_bytes() == want.read_bytes(), (title, qps, sizes)
+            written.update(size for row in sizes for size in row)
+        assert written.issuperset(_SIZES)
 
     def test_trace_bytes(self, tmp_path):
         rng = random.Random(15)
@@ -371,32 +405,59 @@ def _load_manifest_with(tmp_path, edit):
     return load_manifest(path)
 
 
-def _load_log_with_duration(tmp_path, value):
+def _load_log_with(tmp_path, edit):
+    # a two-record log of 2 s segments; edit(header, records) changes it
     path = tmp_path / "log.jsonl"
     save_logs(synthetic_log([1, 2]), path, tmp_path / "log.csv")
-    header, records = path.read_text().split("\n", 1)
-    path.write_text(json.dumps(dict(json.loads(header), segment_duration_s=value)) + "\n" + records)
+    header, *records = map(json.loads, path.read_text().splitlines())
+    edit(header, records)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *records]))
     return load_log_jsonl(path)
 
 
-# Every reader of the POSITIVE rule: how it reads a value, and the field its
-# message names
+# The wording of the size rule of a 2 s segment, which the size readers use
+SIZE = segment_size(2.0)[2]
+
+# Every reader of the POSITIVE rule, and of the size rule built on it: how it
+# reads a value, the field its message names and the rule's wording
 POSITIVE_READERS = {
     "manifest-size": (
         lambda tmp, v: _load_manifest_with(
             tmp, lambda m: m["versions"][1]["segment_sizes"].__setitem__(1, v)
         ),
         "version 2 segment 1: size",
+        SIZE,
+    ),
+    "log-size": (
+        lambda tmp, v: _load_log_with(tmp, lambda h, r: r[1].update(size_bits=v)),
+        "line 3: field 'size_bits'",
+        SIZE,
     ),
     "manifest-duration": (
         lambda tmp, v: _load_manifest_with(tmp, lambda m: m.update(segment_duration_s=v)),
         "segment_duration",
+        POSITIVE[2],
     ),
-    "beta_min": (lambda tmp, v: ClientConfig(beta_min=v), "beta_min"),
-    "beta_max": (lambda tmp, v: ClientConfig(beta_max=v), "beta_max"),
-    "delta": (lambda tmp, v: ClientConfig(delta=v), "delta"),
-    "theta": (lambda tmp, v: ClientConfig(theta=v), "theta"),
-    "log-duration": (_load_log_with_duration, "line 1: field 'segment_duration_s'"),
+    "beta_min": (lambda tmp, v: ClientConfig(beta_min=v), "beta_min", POSITIVE[2]),
+    "beta_max": (lambda tmp, v: ClientConfig(beta_max=v), "beta_max", POSITIVE[2]),
+    "delta": (lambda tmp, v: ClientConfig(delta=v), "delta", POSITIVE[2]),
+    "theta": (lambda tmp, v: ClientConfig(theta=v), "theta", POSITIVE[2]),
+    "log-duration": (
+        lambda tmp, v: _load_log_with(tmp, lambda h, r: h.update(segment_duration_s=v)),
+        "line 1: field 'segment_duration_s'",
+        POSITIVE[2],
+    ),
+    "trace-bandwidth": (
+        lambda tmp, v: BandwidthTrace(((0.0, 1e6), (10.0, v))),
+        "breakpoint 1: bandwidth",
+        POSITIVE[2],
+    ),
+    "rect-high": (lambda tmp, v: gen_rect_bandwidth(v, 1e5, 10, 10, 100), "high", POSITIVE[2]),
+    "ladder-target": (
+        lambda tmp, v: LadderSpec((48, 42), (v, 1e6), 10, 2.0, 0.3, 0),
+        "target bitrates",
+        POSITIVE[2],
+    ),
 }
 
 
@@ -407,6 +468,6 @@ POSITIVE_READERS = {
 )
 @pytest.mark.parametrize("reader", sorted(POSITIVE_READERS))
 def test_every_positive_reader_refuses_the_same_values(tmp_path, reader, value):
-    read, field = POSITIVE_READERS[reader]
-    with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number > 0, got")):
+    read, field, wording = POSITIVE_READERS[reader]
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {wording}, got {value!r}")):
         read(tmp_path, value)

@@ -135,11 +135,20 @@ class TestVbrLadder:
             {"segment_duration": float("nan")},
             {"target_avg_bitrates": (400e3, 1000e3, float("inf"))},
             {"segment_count": scenarios.MAX_LADDER_SEGMENTS + 1},
+            {"burstiness": "x"},
+            {"burstiness": None},
+            {"burstiness": True},  # not taken as a cv of 1.0
+            {"qps": ("a", 34, 28)},
+            {"qps": (), "target_avg_bitrates": (400e3, 1000e3, 2200e3)},
         ],
     )
     def test_invalid_specs(self, overrides):
-        with pytest.raises(ValueError):
-            small_spec(**overrides)
+        # LadderSpec, or the VideoManifest that gen_vbr_ladder builds from it
+        # (which owns the QP rules), refuses each, naming a field
+        with pytest.raises(ValueError) as info:
+            gen_vbr_ladder(small_spec(**overrides))
+        named = ("qp", "target bitrates", "segment_count", "segment_duration", "burstiness")
+        assert any(field in str(info.value) for field in named), info.value
 
     @pytest.mark.parametrize(
         "overrides, field",
