@@ -25,7 +25,7 @@ from operator import gt, itemgetter
 from typing import NamedTuple
 
 from . import policies
-from .estimators import EstimatorState
+from .estimators import EstimatorState, estimate_cross_version_bitrate
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
 from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
 from .model import first_invalid, int_range, one_of, segment_size, valid
@@ -82,11 +82,6 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) 
         piece += 1
 
 
-def _download_error(size, clock, problem: str) -> ValueError:
-    download = f"a download of size_bits {size} requested at request_time_s {clock}"
-    return ValueError(f"{download} {problem}")
-
-
 def run_session(
     manifest: VideoManifest,
     trace: BandwidthTrace,
@@ -99,6 +94,17 @@ def run_session(
         raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
     duration = manifest.segment_duration
     sizes = manifest.segment_sizes
+    # each rounding step of a projection theta * b * 2 ** (dQP / 6) is monotone in
+    # b, so a version's smallest and largest bitrate bound all its projections
+    for k, (qp_from, version_sizes) in enumerate(zip(manifest.qps, sizes), 1):
+        for b in (min(version_sizes) / duration, max(version_sizes) / duration):
+            for j, qp_to in enumerate(manifest.qps, 1):
+                projected = estimate_cross_version_bitrate(b, qp_from, qp_to, cfg.theta)
+                if j != k and not 0.0 < projected < inf:
+                    raise ValueError(
+                        f"theta {cfg.theta} projects version {k}'s bitrate {b} "
+                        f"onto version {j} as {projected}, not a finite number > 0"
+                    )
     est = EstimatorState(manifest.qps, cfg)
     # looked up once per session, not per segment; bound here rather than at
     # import, so that a patched policies.decide or method is still called
@@ -127,9 +133,6 @@ def run_session(
             size = sizes[version - 1][index]
             completion = clock + download_time(trace, clock, size, rtt)
             elapsed = completion - clock
-            if elapsed <= 0:
-                # the download is shorter than one ulp of the clock
-                raise _download_error(size, clock, "takes no time at this clock's resolution")
 
             buffer_before = buffer
             # playback runs from the first completion on: the buffer drains by
@@ -147,12 +150,14 @@ def run_session(
                 stall = 0.0
             buffer += duration
 
-            # the manifest's size rule keeps size / duration finite and > 0, but
-            # size / elapsed can still round to 0.0 or inf
-            t_instant = size / elapsed
+            # the size rule keeps size / duration finite and > 0, but size / elapsed
+            # can round to 0.0 or inf, and is inf if the download takes no time
+            t_instant = size / elapsed if elapsed else inf
             if not 0.0 < t_instant < inf:
-                problem = f"has throughput {t_instant}, not a finite number > 0"
-                raise _download_error(size, clock, problem)
+                raise ValueError(
+                    f"a download of size_bits {size} requested at request_time_s {clock} "
+                    f"has throughput {t_instant}, not a finite number > 0, over {elapsed} s"
+                )
             ingest(version, size / duration)
             update_throughput(t_instant)
 

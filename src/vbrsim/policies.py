@@ -59,15 +59,13 @@ def flexible_threshold(
 
 def select_panic_version(instant_bitrates, t_instant: float) -> int:
     """Highest-bitrate version whose instant bitrate stays below the instant
-    throughput; version 1 if none qualifies. Ties go to the higher index."""
-    best = None
-    best_rate = None
+    throughput; version 1 if none qualifies. Ties go to the higher index.
+    Every rate must be > 0, as ``run_session`` checks once per session."""
+    best, best_rate = 1, 0.0
     for k, rate in enumerate(instant_bitrates, start=1):
-        if rate <= 0:
-            raise ValueError(f"bitrate must be > 0, got {rate} for version {k}")
-        if rate < t_instant and (best is None or rate >= best_rate):
+        if best_rate <= rate < t_instant:
             best, best_rate = k, rate
-    return best if best is not None else 1
+    return best
 
 
 def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Decision:

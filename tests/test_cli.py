@@ -770,20 +770,64 @@ def _refused_run(inputs, tmp_path, edit, trace_rows, extra):
     ],
 )
 def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, extra):
-    # a download shorter than one ulp of the clock takes no time at all
+    # a download shorter than one ulp of the clock takes no time at all, which
+    # the throughput guard refuses as an infinite throughput
     manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
     for named in (str(manifest), str(trace), "segment ", "size_bits", "request_time_s"):
         assert named in stderr
+    assert "has throughput inf, not a finite number > 0, over 0.0 s" in stderr
+
+
+def _projection(theta, bitrate, projected):
+    """The refusal of version 1's ``bitrate``, which ``theta`` projects onto
+    version 2 as ``projected``."""
+    return (
+        f"theta {theta} projects version 1's bitrate {bitrate} onto version 2 as {projected}, "
+        "not a finite number > 0"
+    )
+
+
+@pytest.mark.parametrize("policy", ["avg", "itb"])
+@pytest.mark.parametrize(
+    "edit, extra, message",
+    [
+        # theta * bitrate * 2 projects version 1's bitrate onto 0.0 for version 2
+        pytest.param(
+            _sizes(1e-310), ["--theta", "1e-20"], _projection("1e-20", "5e-311", "0.0"),
+            id="projected-bitrate",
+        ),
+        # above a beta_min of 1 s, under one 2 s segment, AVG never enters panic
+        pytest.param(
+            _sizes(1e-310), ["--theta", "1e-20", "--beta-min", "1"],
+            _projection("1e-20", "5e-311", "0.0"), id="projected-bitrate-no-panic",
+        ),
+        # every projection of the README's bitrates overflows
+        pytest.param(
+            lambda m: None, ["--theta", "1e305"], _projection("1e+305", "97005.0", "inf"),
+            id="theta-overflow",
+        ),
+        # 1e308 bits over 0.9 s is a finite bitrate, and theta 1.05 projects it past
+        # the largest float
+        pytest.param(
+            _sizes(1e308, segment_duration_s=0.9), [],
+            _projection("1.05", "1.1111111111111112e+308", "inf"), id="projected-bitrate-overflow",
+        ),
+    ],
+)
+def test_run_refuses_a_projected_bitrate_at_session_start(
+    inputs, tmp_path, edit, extra, message, policy
+):
+    # checked once, before the first segment, for every policy: the refusal
+    # names no segment
+    manifest, trace, stderr = _refused_run(
+        inputs, tmp_path, edit, None, [*extra, "--policy", policy]
+    )
+    assert stderr == f"error: {manifest}, {trace}: {message}\n"
 
 
 @pytest.mark.parametrize(
     "edit, trace_rows, extra, message",
     [
-        # theta * bitrate * 2 projects version 1's bitrate onto 0.0 for version 2
-        pytest.param(
-            _sizes(1e-310), None, ["--theta", "1e-20"], "bitrate must be > 0, got 0.0 for version 2",
-            id="projected-bitrate",
-        ),
         # size_bits / (1e10 s of RTT) rounds to 0.0
         pytest.param(
             _sizes(1e-320), None, ["--rtt", "1e10"],
@@ -804,19 +848,20 @@ def test_run_rejects_zero_length_download(inputs, tmp_path, edit, trace_rows, ex
 def test_run_rejects_a_value_that_underflows_to_zero(
     inputs, tmp_path, edit, trace_rows, extra, message
 ):
-    # the session's own guards: every input, and every segment's bitrate
-    # size / segment_duration_s, is finite and > 0 when the manifest loads, and
-    # only the session's arithmetic (a projected bitrate, a throughput) makes
-    # a zero or an inf
+    # the session loop's own guard: every input, and every segment's bitrate
+    # size / segment_duration_s, is finite and > 0 when the manifest loads, every
+    # projected bitrate is checked at session start, and only a throughput
+    # can still round to zero or inf in the loop
     manifest, trace, stderr = _refused_run(inputs, tmp_path, edit, trace_rows, extra)
     assert f"{manifest}, {trace}: segment 0: " in stderr
     assert message in stderr
 
 
 def test_run_rejects_an_average_bitrate_past_the_float_range(inputs, tmp_path):
-    # each 1e308-bit segment's bitrate is finite, but their exact sum is not
+    # each 1e308-bit segment's bitrate is finite, but their exact sum is not;
+    # theta 0.04 keeps every projection of it finite
     manifest, trace, stderr = _refused_run(
-        inputs, tmp_path, _sizes(1e308, segment_duration_s=0.9), None, []
+        inputs, tmp_path, _sizes(1e308, segment_duration_s=0.9), None, ["--theta", "0.04"]
     )
     assert f"{manifest}, {trace}: average_bitrate is inf, not a finite float" in stderr
     assert "size_bits" in stderr

@@ -201,6 +201,21 @@ class TestRunSessionSteadyState:
         with pytest.raises(ValueError):
             run_session(m, constant_trace(3e6), ClientConfig(start_version=7))
 
+    @pytest.mark.parametrize("policy", ["avg", "itb"])
+    def test_projections_are_checked_before_the_first_segment(self, policy):
+        # no session on a 500 kbps link requests version 6, yet one segment of it
+        # whose projection onto version 1 underflows refuses the session at its start
+        m, trace, cfg = cbr_manifest(), constant_trace(500e3), ClientConfig(policy=policy)
+        assert max(r.version_requested for r in run_session(m, trace, cfg).records) < 6
+        top = m.segment_sizes[5]
+        m = replace(m, segment_sizes=(*m.segment_sizes[:5], (*top[:30], 4e-323, *top[31:])))
+        message = (
+            "theta 1.05 projects version 6's bitrate 2e-323 onto version 1 as 0.0, "
+            "not a finite number > 0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_session(m, trace, cfg)
+
     def test_policy_version_out_of_range_names_the_segment(self, monkeypatch):
         # version 0 would otherwise read the last version's sizes, and V + 1 past the end
         m = cbr_manifest()

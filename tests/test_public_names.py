@@ -1,7 +1,7 @@
 """Every public top-level function, class and constant in vbrsim has a reader outside the tests,
 every top-level import in vbrsim and in the tests is read by its module, no
-vbrsim module reads a private attribute of anything but ``self``, and the CLI
-tests start a process in one test only."""
+vbrsim module reads a private attribute of anything but ``self``, the policies
+and estimators raise nothing, and the CLI tests start a process in one test only."""
 
 import ast
 from pathlib import Path
@@ -106,3 +106,15 @@ def test_cli_tests_start_a_process_only_in_the_entry_point_test():
         if isinstance(call, ast.Call) and ast.unparse(call.func).startswith("subprocess.")
     ]
     assert starts == ["test_python_m_entry_point_exits_2_as_main_does"]
+
+
+def test_policies_and_estimators_raise_nothing():
+    # run_session owns every session check, so the code it calls per segment
+    # has none of its own
+    raises = [
+        f"{module}:{node.lineno}"
+        for module in ("policies", "estimators")
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Raise)
+    ]
+    assert not raises, f"raise statements outside run_session: {raises}"

@@ -11,6 +11,8 @@ switch-degree STD and by total stall, whether the ranking favours AVG-N or
 not. Changing a pinned ranking needs a CHANGES.md line that says why.
 """
 
+import functools
+
 from tests_support import load_perfbench
 
 from vbrsim import ClientConfig, compute_stats, gen_rect_bandwidth, gen_vbr_ladder
@@ -35,7 +37,10 @@ def _ranking(values: dict) -> str:
     return text
 
 
-def _orderings() -> dict:
+@functools.cache
+def grid_sessions() -> dict:
+    """(trace, burstiness, ladder seed) -> (manifest, {policy label: log}) for
+    every grid case, run once per test process and read by every test of the grid."""
     workloads = load_perfbench("workloads")
     rect = gen_rect_bandwidth(2500e3, 500e3, 120.0, 60.0, 600.0)
     out = {}
@@ -46,14 +51,19 @@ def _orderings() -> dict:
             )
             manifest = gen_vbr_ladder(spec)
             for name, trace in (("rect", rect), ("markov", workloads.markov_trace(seed))):
-                stats = {
-                    label: compute_stats(run_session(manifest, trace, cfg))
-                    for label, cfg in POLICIES.items()
-                }
-                out[(name, burstiness, seed)] = tuple(
-                    _ranking({label: getattr(s, metric) for label, s in stats.items()})
-                    for metric in ("num_switches", "std_switch_degrees", "total_stall")
-                )
+                logs = {label: run_session(manifest, trace, cfg) for label, cfg in POLICIES.items()}
+                out[(name, burstiness, seed)] = (manifest, logs)
+    return out
+
+
+def _orderings() -> dict:
+    out = {}
+    for case, (_, logs) in grid_sessions().items():
+        stats = {label: compute_stats(log) for label, log in logs.items()}
+        out[case] = tuple(
+            _ranking({label: getattr(s, metric) for label, s in stats.items()})
+            for metric in ("num_switches", "std_switch_degrees", "total_stall")
+        )
     return out
 
 
