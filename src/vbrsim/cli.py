@@ -122,6 +122,7 @@ def cmd_run(args) -> int:
             fh.write("level_s,fraction\n")
             for level, frac in metrics.buffer_cdf(log):
                 fh.write(f"{level},{frac}\n")
+        del log  # so the next session's log is the only one held
 
     table = metrics.stats_table(stats_by_label)
     if len(configs) > 1:

@@ -93,6 +93,24 @@ def check(value, rule, name: str) -> None:
         raise ValueError(f"{name} must be {rule[2]}, got {value!r}")
 
 
+def _check_qp(k: int, qp) -> None:
+    """Raise ValueError unless version ``k``'s QP is a ``QP``."""
+    check(qp, QP, f"version {k}: qp")
+
+
+def check_qps(qps: tuple) -> None:
+    """Raise ValueError unless every version's QP is a ``QP`` and the QPs
+    strictly decrease with version index (a higher version has higher quality)."""
+    for k, qp in enumerate(qps, start=1):
+        _check_qp(k, qp)
+    for k, (lo, hi) in enumerate(zip(qps, qps[1:]), start=1):
+        if lo <= hi:
+            raise ValueError(
+                f"qp must strictly decrease with version index "
+                f"(version {k} qp={lo}, version {k + 1} qp={hi})"
+            )
+
+
 @dataclass(frozen=True)
 class VideoManifest:
     """The full version ladder plus segment timing for one video.
@@ -121,7 +139,7 @@ class VideoManifest:
         size = segment_size(self.segment_duration)
         rows = []
         for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
-            check(qp, QP, f"version {k}: qp")
+            _check_qp(k, qp)
             if not isinstance(sizes, (list, tuple)):
                 raise ValueError(
                     f"version {k}: segment_sizes must be a list, got {type(sizes).__name__}"
@@ -135,12 +153,7 @@ class VideoManifest:
         counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
             raise ValueError(f"all versions must have the same segment count, got {counts}")
-        for k, (lo, hi) in enumerate(zip(qps, qps[1:]), start=1):
-            if lo <= hi:
-                raise ValueError(
-                    f"qp must strictly decrease with version index "
-                    f"(version {k} qp={lo}, version {k + 1} qp={hi})"
-                )
+        check_qps(qps)  # each QP passed _check_qp above, so only the order can fail
         object.__setattr__(self, "qps", qps)
         object.__setattr__(self, "segment_sizes", tuple(rows))
 

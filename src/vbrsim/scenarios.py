@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from random import NV_MAGICCONST
 
 from .model import NONNEGATIVE, NUMBER, POSITIVE, BandwidthTrace, VideoManifest, check
-from .model import first_invalid, int_range, one_of, valid
+from .model import check_qps, first_invalid, int_range, one_of, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -30,9 +30,10 @@ MODEL_ERROR = 0.05  # cv of the per-version noise below the top version
 # Most breakpoints a rectangular trace may have: 50x the largest trace in use
 # (20 000), so a mistyped total or period fails instead of filling memory.
 MAX_RECT_BREAKPOINTS = 1_000_000
-# Most segments a ladder may have: 10x the largest ladder in use (20 000); the
-# generator holds several lists of this length per version (about 117 MB
-# peak at the cap).
+# Most segments a ladder may have: 10x the largest ladder in use (20 000). At
+# the cap gen_vbr_ladder's tracemalloc peak is about 56 MB, 48 MB of it the
+# manifest it returns; a Python 3.11 process that only generates it peaks at
+# 71 MB RSS.
 MAX_LADDER_SEGMENTS = 200_000
 
 
@@ -50,6 +51,7 @@ class LadderSpec:
         object.__setattr__(self, "target_avg_bitrates", tuple(self.target_avg_bitrates))
         if len(self.qps) < 2:
             raise ValueError(f"need at least 2 qps, got {len(self.qps)}")
+        check_qps(self.qps)
         if len(self.target_avg_bitrates) != len(self.qps):
             raise ValueError(
                 f"expected {len(self.qps)} target bitrates, got {len(self.target_avg_bitrates)}"
@@ -153,32 +155,42 @@ def _lognormals(rng: random.Random, mu: float, sigma: float, n: int) -> list:
     return out
 
 
+def _with_model_error(shapes: list, rng: random.Random) -> list:
+    """``shapes`` times one fresh log-normal noise draw per segment, of cv MODEL_ERROR."""
+    mu, sigma = _lognormal_params(MODEL_ERROR)
+    return [s * e for s, e in zip(shapes, _lognormals(rng, mu, sigma, len(shapes)))]
+
+
+def _version_sizes(bitrates: list, target: float, duration: float) -> tuple:
+    """Segment sizes in bits of a version whose per-segment ``bitrates`` are
+    scaled so their mean is ``target``."""
+    scale = target / (sum(bitrates) / len(bitrates))
+    return tuple([max(1, round(b * scale * duration)) for b in bitrates])
+
+
 def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
-    """Generate a manifest from a ladder spec (deterministic for a seed)."""
-    rng = random.Random(spec.seed)
+    """Generate a manifest from a ladder spec (deterministic for a seed).
+
+    Each version's bitrates become its sizes before the next version is
+    drawn, so at most one version's floats are held beside the shared shape.
+    """
     n = spec.segment_count
     top = spec.num_versions - 1
-
-    if spec.burstiness == 0:
-        bitrates = [[target] * n for target in spec.target_avg_bitrates]
-    else:
-        mu, sigma = _lognormal_params(spec.burstiness)
-        shapes = _lognormals(rng, mu, sigma, n)
-        for i in range(0, n, BURST_PERIOD):
-            shapes[i] *= BURST_FACTOR
-        noise_mu, noise_sigma = _lognormal_params(MODEL_ERROR)
-        bitrates = []
-        for k, target in enumerate(spec.target_avg_bitrates):
-            row = shapes
-            if k != top:
-                noise = _lognormals(rng, noise_mu, noise_sigma, n)
-                row = [s * e for s, e in zip(shapes, noise)]
-            scale = target / (sum(row) / n)
-            bitrates.append([b * scale for b in row])
-
     duration = spec.segment_duration
     try:
-        sizes = [[max(1, round(b * duration)) for b in row] for row in bitrates]
+        if spec.burstiness == 0:
+            sizes = [(max(1, round(t * duration)),) * n for t in spec.target_avg_bitrates]
+        else:
+            rng = random.Random(spec.seed)
+            shapes = _lognormals(rng, *_lognormal_params(spec.burstiness), n)
+            for i in range(0, n, BURST_PERIOD):
+                shapes[i] *= BURST_FACTOR
+            sizes = [
+                _version_sizes(
+                    shapes if k == top else _with_model_error(shapes, rng), target, duration
+                )
+                for k, target in enumerate(spec.target_avg_bitrates)
+            ]
     except OverflowError:  # round() of an infinite bitrate * duration
         raise ValueError(
             f"segment_duration {duration} s makes a segment size overflow a float"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from types import MappingProxyType
@@ -255,6 +256,24 @@ def test_every_client_option_reaches_the_log_header(inputs, run_logs, tmp_path):
     assert config == {**default, **_CLIENT_OPTIONS}
     # with no option given, run_logs's AVG-30 header holds the defaults
     assert json.loads(run_logs["avg-30.jsonl"].partition("\n")[0])["config"] == default
+
+
+def test_run_holds_one_session_log_at_a_time(inputs, tmp_path, monkeypatch):
+    # each policy's log is dropped before the next session fills its own
+    logs = []
+
+    def run_session(*args, **kwargs):
+        assert [ref() for ref in logs] == [None] * len(logs), "an earlier log is still held"
+        log = real(*args, **kwargs)
+        logs.append(weakref.ref(log))
+        return log
+
+    real = vbrsim.engine.run_session
+    monkeypatch.setattr(vbrsim.engine, "run_session", run_session)
+    manifest, trace = inputs
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    assert call_main([*args, "--policy", "itb,avg:10,avg:30", "--out", str(tmp_path)]) == (0, "")
+    assert len(logs) == 3
 
 
 def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):

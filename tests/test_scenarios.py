@@ -143,12 +143,29 @@ class TestVbrLadder:
         ],
     )
     def test_invalid_specs(self, overrides):
-        # LadderSpec, or the VideoManifest that gen_vbr_ladder builds from it
-        # (which owns the QP rules), refuses each, naming a field
+        # LadderSpec, or the VideoManifest that gen_vbr_ladder builds from it,
+        # refuses each, naming a field
         with pytest.raises(ValueError) as info:
             gen_vbr_ladder(small_spec(**overrides))
         named = ("qp", "target bitrates", "segment_count", "segment_duration", "burstiness")
         assert any(field in str(info.value) for field in named), info.value
+
+    @pytest.mark.parametrize(
+        "qps, message",
+        [
+            (("a", 34, 28), "version 1: qp must be an int in 0..63, got 'a'"),
+            ((42, 34, 64), "version 3: qp must be an int in 0..63, got 64"),
+            (
+                (28, 34, 42),
+                "qp must strictly decrease with version index (version 1 qp=28, version 2 qp=34)",
+            ),
+        ],
+    )
+    def test_qps_are_refused_at_construction(self, qps, message):
+        # before any segment is generated, in VideoManifest's wording
+        with pytest.raises(ValueError) as info:
+            small_spec(qps=qps)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -199,6 +216,20 @@ def test_save_manifest_peak_memory_is_below_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_gen_vbr_ladder_holds_one_version_of_floats_at_a_time():
+    # each version's bitrates become its sizes before the next version is
+    # drawn, so no more than one version's floats are held beside the manifest
+    spec = ladder_preset("sony-like", segment_count=20_000)
+    tracemalloc.start()
+    try:
+        manifest = gen_vbr_ladder(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest.num_segments == 20_000
+    assert peak < 1.5 * held, (peak, held)
 
 
 # sha256 of the manifest file each preset writes at 300 segments, by
