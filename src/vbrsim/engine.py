@@ -28,7 +28,7 @@ from . import policies
 from .estimators import EstimatorState, estimate_cross_version_bitrate
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
 from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
-from .model import first_invalid, int_range, one_of, segment_size, valid
+from .model import check, check_each, int_range, one_of, segment_size
 
 
 class SegmentRecord(NamedTuple):
@@ -90,12 +90,12 @@ def run_session(
 ) -> SessionLog:
     """Simulate a full streaming session under ``cfg.policy`` and return its log."""
     num_versions = manifest.num_versions
-    if not 1 <= cfg.start_version <= num_versions:
-        raise ValueError(f"start_version {cfg.start_version} out of range 1..{num_versions}")
+    check(cfg.start_version, int_range(1, num_versions), "start_version")
     duration = manifest.segment_duration
     sizes = manifest.segment_sizes
     # each rounding step of a projection theta * b * 2 ** (dQP / 6) is monotone in
     # b, so a version's smallest and largest bitrate bound all its projections
+    top = 0.0  # the largest bitrate, actual or projected, that a window can hold
     for k, (qp_from, version_sizes) in enumerate(zip(manifest.qps, sizes), 1):
         for b in (min(version_sizes) / duration, max(version_sizes) / duration):
             for j, qp_to in enumerate(manifest.qps, 1):
@@ -105,6 +105,11 @@ def run_session(
                         f"theta {cfg.theta} projects version {k}'s bitrate {b} "
                         f"onto version {j} as {projected}, not a finite number > 0"
                     )
+                top = max(top, b if j == k else projected)  # what enters version j's window
+    # float addition of values >= 0 is monotone, so no window's sum exceeds this one
+    n = min(cfg.window_n, manifest.num_segments)
+    if sum(itertools.repeat(top, n)) == inf:
+        raise ValueError(f"window_n {cfg.window_n} sums {n} bitrates of up to {top} to inf")
     est = EstimatorState(manifest.qps, cfg)
     # looked up once per session, not per segment; bound here rather than at
     # import, so that a patched policies.decide or method is still called
@@ -374,8 +379,7 @@ def load_log_jsonl(path) -> SessionLog:
     _check_keys(header, _HEADER_KEYS, f"{path}: header")
     _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
     for key, _, rule in _HEADER_FIELDS:
-        if not valid((header[key],), rule):
-            raise _value_error(path, 1, key, header[key], rule[2])
+        check(header[key], rule, f"{path}: line 1: field {key!r}")
     try:
         config = ClientConfig(**header["config"])
     except (TypeError, ValueError) as exc:
@@ -399,9 +403,7 @@ def load_log_jsonl(path) -> SessionLog:
     )
     columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):
-        i = first_invalid(column, rule)
-        if i is not None:
-            raise _value_error(path, i + 2, name, column[i], rule[2])
+        check_each(column, rule, lambda i: f"{path}: line {i + 2}: field {name!r}")
     # the checks that read more than one value
     index, _, _, request, completion = columns[:5]
     if index != tuple(range(len(index))):

@@ -76,33 +76,30 @@ def valid(values, rule) -> bool:
     return set(map(type, values)) <= types and (test is None or test(values))
 
 
-def first_invalid(values, rule):
-    """The position of the first of ``values`` that does not meet ``rule``, or None.
-
-    The rule is tested on all of ``values`` at once, which is far cheaper than
-    a test per value; only values that fail are searched one by one.
-    """
-    if valid(values, rule):
-        return None
-    return next(i for i, value in enumerate(values) if not valid((value,), rule))
-
-
 def check(value, rule, name: str) -> None:
     """Raise ValueError, starting with ``name``, unless ``value`` meets ``rule``."""
     if not valid((value,), rule):
         raise ValueError(f"{name} must be {rule[2]}, got {value!r}")
 
 
-def _check_qp(k: int, qp) -> None:
-    """Raise ValueError unless version ``k``'s QP is a ``QP``."""
-    check(qp, QP, f"version {k}: qp")
+def check_each(values, rule, name_of) -> None:
+    """Raise ``check``'s ValueError for the first of ``values``, a non-empty
+    sequence, that does not meet ``rule``; ``name_of(i)`` names ``values[i]``.
+
+    The rule is tested on all of ``values`` at once, which is far cheaper than
+    a test per value; only values that fail are searched one by one.
+    """
+    if not valid(values, rule):
+        i = next(i for i, value in enumerate(values) if not valid((value,), rule))
+        check(values[i], rule, name_of(i))
 
 
 def check_qps(qps: tuple) -> None:
-    """Raise ValueError unless every version's QP is a ``QP`` and the QPs
-    strictly decrease with version index (a higher version has higher quality)."""
-    for k, qp in enumerate(qps, start=1):
-        _check_qp(k, qp)
+    """Raise ValueError unless ``qps`` names at least 2 versions, each a ``QP``,
+    and strictly decreases with version index (a higher version has higher quality)."""
+    if len(qps) < 2:
+        raise ValueError(f"qps must name at least 2 versions, got {len(qps)}")
+    check_each(qps, QP, lambda i: f"version {i + 1}: qp")
     for k, (lo, hi) in enumerate(zip(qps, qps[1:]), start=1):
         if lo <= hi:
             raise ValueError(
@@ -129,8 +126,7 @@ class VideoManifest:
         check(self.title, STRING, "title")
         check(self.segment_duration, POSITIVE, "segment_duration")
         qps = tuple(self.qps)
-        if len(qps) < 2:
-            raise ValueError("manifest needs at least 2 versions")
+        check_qps(qps)
         if len(self.segment_sizes) != len(qps):
             raise ValueError(
                 f"need one segment_sizes list per qp: {len(qps)} qps, "
@@ -138,22 +134,18 @@ class VideoManifest:
             )
         size = segment_size(self.segment_duration)
         rows = []
-        for k, (qp, sizes) in enumerate(zip(qps, self.segment_sizes), start=1):
-            _check_qp(k, qp)
+        for k, sizes in enumerate(self.segment_sizes, start=1):
             if not isinstance(sizes, (list, tuple)):
                 raise ValueError(
                     f"version {k}: segment_sizes must be a list, got {type(sizes).__name__}"
                 )
             if not sizes:
                 raise ValueError(f"version {k} has no segments")
-            i = first_invalid(sizes, size)
-            if i is not None:
-                check(sizes[i], size, f"version {k} segment {i}: size")
+            check_each(sizes, size, lambda i: f"version {k} segment {i}: size")
             rows.append(tuple(sizes))
         counts = {len(sizes) for sizes in rows}
         if len(counts) != 1:
             raise ValueError(f"all versions must have the same segment count, got {counts}")
-        check_qps(qps)  # each QP passed _check_qp above, so only the order can fail
         object.__setattr__(self, "qps", qps)
         object.__setattr__(self, "segment_sizes", tuple(rows))
 
@@ -184,10 +176,8 @@ class BandwidthTrace:
             raise ValueError("trace needs at least one breakpoint")
         times = [t for t, _ in self.breakpoints]
         bandwidths = [bw for _, bw in self.breakpoints]
-        for values, rule, name in ((times, NUMBER, "time"), (bandwidths, POSITIVE, "bandwidth")):
-            i = first_invalid(values, rule)
-            if i is not None:
-                check(values[i], rule, f"breakpoint {i}: {name}")
+        check_each(times, NUMBER, lambda i: f"breakpoint {i}: time")
+        check_each(bandwidths, POSITIVE, lambda i: f"breakpoint {i}: bandwidth")
         if times[0] != 0:
             raise ValueError(f"breakpoint 0: time must be 0, got {times[0]!r}")
         if not all(map(operator.lt, times, times[1:])):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from random import NV_MAGICCONST
 
 from .model import NONNEGATIVE, NUMBER, POSITIVE, BandwidthTrace, VideoManifest, check
-from .model import check_qps, first_invalid, int_range, one_of, valid
+from .model import check_each, check_qps, int_range, one_of, valid
 
 # Extra multiplier applied to one segment per burst period, mimicking the
 # bitrate spikes that scene changes produce.
@@ -49,16 +49,12 @@ class LadderSpec:
     def __post_init__(self):
         object.__setattr__(self, "qps", tuple(self.qps))
         object.__setattr__(self, "target_avg_bitrates", tuple(self.target_avg_bitrates))
-        if len(self.qps) < 2:
-            raise ValueError(f"need at least 2 qps, got {len(self.qps)}")
         check_qps(self.qps)
         if len(self.target_avg_bitrates) != len(self.qps):
             raise ValueError(
                 f"expected {len(self.qps)} target bitrates, got {len(self.target_avg_bitrates)}"
             )
-        i = first_invalid(self.target_avg_bitrates, POSITIVE)
-        if i is not None:
-            check(self.target_avg_bitrates[i], POSITIVE, "target bitrates")
+        check_each(self.target_avg_bitrates, POSITIVE, lambda i: "target bitrates")
         if any(b <= a for a, b in zip(self.target_avg_bitrates, self.target_avg_bitrates[1:])):
             raise ValueError("target bitrates must strictly increase with version index")
         check(self.segment_count, int_range(1, MAX_LADDER_SEGMENTS), "segment_count")

@@ -831,6 +831,12 @@ def _projection(theta, bitrate, projected):
             _sizes(1e308, segment_duration_s=0.9), [],
             _projection("1.05", "1.1111111111111112e+308", "inf"), id="projected-bitrate-overflow",
         ),
+        # theta 0.04 keeps every projection finite, but 30 of these bitrates sum to inf
+        pytest.param(
+            _sizes(1e308, segment_duration_s=0.9), ["--theta", "0.04"],
+            "window_n 30 sums 30 bitrates of up to 1.1111111111111112e+308 to inf",
+            id="window-sum-overflow",
+        ),
     ],
 )
 def test_run_refuses_a_projected_bitrate_at_session_start(
@@ -878,9 +884,11 @@ def test_run_rejects_a_value_that_underflows_to_zero(
 
 def test_run_rejects_an_average_bitrate_past_the_float_range(inputs, tmp_path):
     # each 1e308-bit segment's bitrate is finite, but their exact sum is not;
-    # theta 0.04 keeps every projection of it finite
+    # theta 0.04 keeps every projection of it finite, and a one-segment window
+    # keeps every representative bitrate finite
+    extra = ["--theta", "0.04", "--policy", "avg:1"]
     manifest, trace, stderr = _refused_run(
-        inputs, tmp_path, _sizes(1e308, segment_duration_s=0.9), None, ["--theta", "0.04"]
+        inputs, tmp_path, _sizes(1e308, segment_duration_s=0.9), None, extra
     )
     assert f"{manifest}, {trace}: average_bitrate is inf, not a finite float" in stderr
     assert "size_bits" in stderr

@@ -216,6 +216,22 @@ class TestRunSessionSteadyState:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_session(m, trace, cfg)
 
+    @pytest.mark.parametrize("policy", ["avg", "itb"])
+    def test_a_window_that_can_sum_to_inf_is_refused_at_session_start(self, policy):
+        # every bitrate is finite, and theta 0.04 keeps every projection below
+        # it, but 17 of them sum past the largest float: a representative
+        # bitrate, the mean of a window, would be inf
+        m, trace = VideoManifest("huge", 0.9, QPS6[:3], ((1e307,) * 40,) * 3), constant_trace(3e6)
+        cfg = ClientConfig(theta=0.04, policy=policy)
+        message = "window_n 17 sums 17 bitrates of up to 1.1111111111111111e+307 to inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_session(m, trace, replace(cfg, window_n=17))
+        # 16 of them sum to a finite float, and a 16-segment session never
+        # fills a longer window
+        assert len(run_session(m, trace, replace(cfg, window_n=16)).records) == 40
+        short = replace(m, segment_sizes=tuple(sizes[:16] for sizes in m.segment_sizes))
+        assert len(run_session(short, trace, cfg).records) == 16
+
     def test_policy_version_out_of_range_names_the_segment(self, monkeypatch):
         # version 0 would otherwise read the last version's sizes, and V + 1 past the end
         m = cbr_manifest()

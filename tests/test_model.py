@@ -69,6 +69,11 @@ class TestManifestInvariants:
             with pytest.raises(ValueError, match="qp must be an int"):
                 VideoManifest("bad", 2.0, qps=(bad, 22), segment_sizes=((100,), (200,)))
 
+    def test_qps_are_checked_before_the_sizes(self):
+        # the QPs are refused for their order, though version 1 also holds a nan size
+        with pytest.raises(ValueError, match="^qp must strictly decrease with version index"):
+            VideoManifest("bad", 2.0, qps=(30, 30), segment_sizes=((math.nan,), (200,)))
+
     def test_indices_contiguous(self):
         # the version index exists only in the file format
         data = {

@@ -1,7 +1,8 @@
 """Every public top-level function, class and constant in vbrsim has a reader outside the tests,
 every top-level import in vbrsim and in the tests is read by its module, no
 vbrsim module reads a private attribute of anything but ``self``, the policies
-and estimators raise nothing, and the CLI tests start a process in one test only."""
+and estimators raise nothing, only ``model.check`` renders a rule's wording, and
+the CLI tests start a process in one test only."""
 
 import ast
 from pathlib import Path
@@ -118,3 +119,16 @@ def test_policies_and_estimators_raise_nothing():
         if isinstance(node, ast.Raise)
     ]
     assert not raises, f"raise statements outside run_session: {raises}"
+
+
+def test_only_check_renders_a_rules_wording():
+    # every refusal by a rule is check's message, so no other code reads
+    # rule[2], a rule's wording
+    readers = [
+        f"{module}.{getattr(node, 'name', node.lineno)}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Subscript) and ast.unparse(sub) == "rule[2]"
+    ]
+    assert readers == ["model.check"], readers

@@ -6,7 +6,7 @@ import pytest
 
 from vbrsim import scenarios
 from vbrsim.engine import download_time
-from vbrsim.model import save_manifest
+from vbrsim.model import VideoManifest, save_manifest
 from vbrsim.scenarios import (
     BURST_PERIOD,
     LADDER_PRESETS,
@@ -166,6 +166,16 @@ class TestVbrLadder:
         with pytest.raises(ValueError) as info:
             small_spec(qps=qps)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("qps", [(), (42,)])
+    def test_a_spec_and_a_manifest_refuse_too_few_versions_alike(self, qps):
+        # model.check_qps owns the version count, so both raise its one message
+        with pytest.raises(ValueError) as spec_info:
+            small_spec(qps=qps, target_avg_bitrates=(400e3,) * len(qps))
+        with pytest.raises(ValueError) as manifest_info:
+            VideoManifest("few", 2.0, qps, ((100,),) * len(qps))
+        message = f"qps must name at least 2 versions, got {len(qps)}"
+        assert str(spec_info.value) == str(manifest_info.value) == message
 
     @pytest.mark.parametrize(
         "overrides, field",
