@@ -65,21 +65,29 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) 
     One RTT elapses before the first bit arrives, then the transfer proceeds
     at the trace's bandwidth, integrated exactly across pieces. The returned
     duration includes the RTT.
+
+    Each piece costs one division and no builtin call; the ``if`` below keeps
+    what ``max(remaining, 0.0)`` returns, ``-0.0`` and NaN included.
     """
     t = start + rtt
     starts = trace.starts
     breakpoints = trace.breakpoints
+    last = len(starts) - 1
     piece = bisect_right(starts, t) - 1
     remaining = size
     while True:
         bw = breakpoints[piece][1]
         finish = t + remaining / bw
-        if piece + 1 >= len(breakpoints) or finish <= starts[piece + 1]:
+        if piece == last:
             return finish - start
-        piece_end = starts[piece + 1]
-        remaining = max(remaining - bw * (piece_end - t), 0.0)
-        t = piece_end
         piece += 1
+        piece_end = starts[piece]
+        if finish <= piece_end:
+            return finish - start
+        remaining -= bw * (piece_end - t)
+        if remaining < 0.0:
+            remaining = 0.0
+        t = piece_end
 
 
 def run_session(
@@ -96,8 +104,8 @@ def run_session(
     # each rounding step of a projection theta * b * 2 ** (dQP / 6) is monotone in
     # b, so a version's smallest and largest bitrate bound all its projections
     top = 0.0  # the largest bitrate, actual or projected, that a window can hold
-    for k, (qp_from, version_sizes) in enumerate(zip(manifest.qps, sizes), 1):
-        for b in (min(version_sizes) / duration, max(version_sizes) / duration):
+    for k, (qp_from, bitrates) in enumerate(zip(manifest.qps, manifest.bitrate_range), 1):
+        for b in bitrates:
             for j, qp_to in enumerate(manifest.qps, 1):
                 projected = estimate_cross_version_bitrate(b, qp_from, qp_to, cfg.theta)
                 if j != k and not 0.0 < projected < inf:

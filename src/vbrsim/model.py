@@ -9,6 +9,7 @@ which case ingestion converts once.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -156,6 +157,13 @@ class VideoManifest:
     @property
     def num_segments(self) -> int:
         return len(self.segment_sizes[0])
+
+    @functools.cached_property
+    def bitrate_range(self) -> tuple:
+        """Each version's (smallest, largest) segment bitrate, in bits/s; taken
+        on first use, so that every session on this manifest shares it."""
+        duration = self.segment_duration
+        return tuple((min(sizes) / duration, max(sizes) / duration) for sizes in self.segment_sizes)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class LadderSpec:
             raise ValueError(
                 f"expected {len(self.qps)} target bitrates, got {len(self.target_avg_bitrates)}"
             )
-        check_each(self.target_avg_bitrates, POSITIVE, lambda i: "target bitrates")
+        check_each(self.target_avg_bitrates, POSITIVE, lambda i: f"version {i + 1}: target bitrate")
         if any(b <= a for a, b in zip(self.target_avg_bitrates, self.target_avg_bitrates[1:])):
             raise ValueError("target bitrates must strictly increase with version index")
         check(self.segment_count, int_range(1, MAX_LADDER_SEGMENTS), "segment_count")

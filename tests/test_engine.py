@@ -5,12 +5,13 @@ import json
 import math
 import random
 import re
+from bisect import bisect_right
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import pytest
 
-from tests_support import synthetic_log
+from tests_support import load_perfbench, synthetic_log
 from vbrsim import policies
 from vbrsim.engine import (
     _BLOCK,
@@ -101,6 +102,83 @@ class TestDownloadTime:
             ]
             assert len(overlaps) >= 100
             assert sum(bw * dt for bw, dt in overlaps) == pytest.approx(size, rel=1e-9)
+
+    def test_bit_for_bit_equal_to_the_max_loop(self):
+        # the piece loop as it was written with max() and a len() per piece,
+        # kept verbatim as the oracle: every float operation of download_time
+        # must be the same, in the same order, so every value is the same bits
+        def oracle(trace, start, size, rtt):
+            t = start + rtt
+            starts = trace.starts
+            breakpoints = trace.breakpoints
+            piece = bisect_right(starts, t) - 1
+            remaining = size
+            while True:
+                bw = breakpoints[piece][1]
+                finish = t + remaining / bw
+                if piece + 1 >= len(breakpoints) or finish <= starts[piece + 1]:
+                    return finish - start
+                piece_end = starts[piece + 1]
+                remaining = max(remaining - bw * (piece_end - t), 0.0)
+                t = piece_end
+                piece += 1
+
+        rng = random.Random(29)
+        rtts = (0.0, 0.04, 0.5)
+        calls = []
+
+        def any_size():
+            return rng.choice((0.0, 5e-324, rng.lognormvariate(14.0, 1.5)))
+
+        # the dense_trace workload's 20 000-piece Markov trace: starts anywhere,
+        # on a breakpoint, and past the last one
+        dense = load_perfbench("workloads").markov_trace(0)
+        end = dense.starts[-1]
+        for _ in range(40_000):
+            start = rng.choice((rng.uniform(0.0, end + 50.0), rng.choice(dense.starts)))
+            calls.append((dense, start, any_size(), rng.choice(rtts)))
+        for _ in range(400):
+            # random traces of 1 to 40 pieces, with integer or float starts
+            t, breakpoints = 0, []
+            integral = rng.random() < 0.5
+            for _ in range(rng.randint(1, 40)):
+                breakpoints.append((t, rng.lognormvariate(13.0, 1.5)))
+                t += rng.randint(1, 20) if integral else rng.expovariate(0.2)
+            trace = BandwidthTrace(tuple(breakpoints))
+            starts, bws = trace.starts, [bw for _, bw in trace.breakpoints]
+            for _ in range(75):
+                start = rng.choice((rng.uniform(0.0, t + 5.0), rng.choice(starts)))
+                calls.append((trace, start, any_size(), rng.choice(rtts)))
+            # downloads sized to end at a piece end: the exact float product of
+            # the pieces they cross, and a few ulps either side of it
+            for _ in range(75):
+                first = rng.randrange(len(starts))
+                last = rng.randrange(first, len(starts))
+                start = rng.choice((starts[first], rng.uniform(starts[first], t)))
+                rtt = rng.choice(rtts)
+                size, at = 0.0, start + rtt
+                for k in range(bisect_right(starts, at) - 1, min(last + 1, len(starts) - 1)):
+                    size += bws[k] * (starts[k + 1] - max(at, starts[k]))
+                steps = rng.randint(-2, 2)
+                for _ in range(abs(steps)):
+                    size = math.nextafter(size, math.inf if steps > 0 else 0.0)
+                calls.append((trace, start, max(size, 0.0), rtt))
+        # integer starts and bandwidths: the download ends exactly on a
+        # piece end, with no rounding anywhere
+        trace = BandwidthTrace(tuple((t, 2 ** (t % 7 + 10)) for t in range(0, 60, 3)))
+        for _ in range(5_000):
+            first = rng.randrange(19)
+            last = rng.randrange(first, 19)
+            size = sum(trace.breakpoints[k][1] * 3 for k in range(first, last + 1))
+            calls.append((trace, first * 3.0, float(size), 0.0))
+
+        assert len(calls) >= 100_000
+        wrong = [
+            call
+            for call in calls
+            if repr(download_time(*call)) != repr(oracle(*call))
+        ]
+        assert not wrong, wrong[:3]
 
 
 class TestRunSessionSteadyState:
@@ -232,6 +310,17 @@ class TestRunSessionSteadyState:
         short = replace(m, segment_sizes=tuple(sizes[:16] for sizes in m.segment_sizes))
         assert len(run_session(short, trace, cfg).records) == 16
 
+    def test_each_versions_bitrate_range_is_taken_once_per_manifest(self):
+        # building a manifest takes none; every session on it shares one
+        m = gen_vbr_ladder(ladder_preset("sony-like", segment_count=60))
+        assert "bitrate_range" not in vars(m)
+        run_session(m, constant_trace(3e6), ClientConfig(policy="itb"))
+        taken = vars(m)["bitrate_range"]
+        d = m.segment_duration
+        assert taken == tuple((min(s) / d, max(s) / d) for s in m.segment_sizes)
+        run_session(m, constant_trace(3e6), ClientConfig())
+        assert vars(m)["bitrate_range"] is taken
+
     def test_policy_version_out_of_range_names_the_segment(self, monkeypatch):
         # version 0 would otherwise read the last version's sizes, and V + 1 past the end
         m = cbr_manifest()
@@ -309,6 +398,7 @@ class TestInformationBarrier:
             num_segments=inner.num_segments,
             qps=inner.qps,
             segment_sizes=tuple(rows),
+            bitrate_range=inner.bitrate_range,
         )
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 40, 30, 130)
         log = run_session(wrapped, trace, ClientConfig(window_n=10))
@@ -498,9 +588,10 @@ class TestLogSerialization:
 
     def test_save_logs_writes_recorded_bytes(self, tmp_path):
         # sha256 of (.jsonl, .csv) for sessions the README quick start does not
-        # run: the pseudocode gate, another theta, and a trace below the lowest
-        # version, which reaches panic and stalls. Any change is a change of
-        # behaviour or format.
+        # run: the pseudocode gate, another theta, a trace below the lowest
+        # version, which reaches panic and stalls, and the dense_trace
+        # workload's Markov trace, where a download crosses many pieces. Any
+        # change is a change of behaviour or format.
         recorded = {
             "itb-pseudocode": (
                 "a18c083f87dce954923b38fdbe80b664d002e475c573b4fc6b78a2247f6a0b3c",
@@ -518,6 +609,10 @@ class TestLogSerialization:
                 "cf958705bf6327b8df2ede67d695e3f3cf223aa441c469c8101532f4e3405b9c",
                 "f9bfc1b516ac2652a4e9945812c360331c1442bb850ec7d2d0ce14dbde3e1450",
             ),
+            "markov": (
+                "7299daf88bf8c9a806da993cffbc4bbe254b7962b5fe13bfeb1b2dbabb9fe4a9",
+                "3fbc2c6031d11a900cbad64f39e8c5031216a18064706f40f44268c89ef08b72",
+            ),
         }
         vbr = gen_vbr_ladder(ladder_preset("sony-like"))
         rect = gen_rect_bandwidth(2.5e6, 0.5e6, 120, 60, 600)
@@ -528,6 +623,7 @@ class TestLogSerialization:
             "avg-10-pseudocode": (rect, ClientConfig(window_n=10, uptrend_gate="pseudocode")),
             "avg-30-theta-0.9": (rect, ClientConfig(theta=0.9)),
             "avg-30-starved": (starved, ClientConfig()),
+            "markov": (load_perfbench("workloads").markov_trace(0), ClientConfig()),
         }
         written = {}
         for name, (trace, cfg) in sessions.items():

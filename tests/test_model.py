@@ -460,7 +460,7 @@ POSITIVE_READERS = {
     "rect-high": (lambda tmp, v: gen_rect_bandwidth(v, 1e5, 10, 10, 100), "high", POSITIVE[2]),
     "ladder-target": (
         lambda tmp, v: LadderSpec((48, 42), (v, 1e6), 10, 2.0, 0.3, 0),
-        "target bitrates",
+        "version 1: target bitrate",
         POSITIVE[2],
     ),
 }

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import tracemalloc
 
@@ -147,7 +148,7 @@ class TestVbrLadder:
         # refuses each, naming a field
         with pytest.raises(ValueError) as info:
             gen_vbr_ladder(small_spec(**overrides))
-        named = ("qp", "target bitrates", "segment_count", "segment_duration", "burstiness")
+        named = ("qp", "target bitrate", "segment_count", "segment_duration", "burstiness")
         assert any(field in str(info.value) for field in named), info.value
 
     @pytest.mark.parametrize(
@@ -167,6 +168,19 @@ class TestVbrLadder:
             small_spec(qps=qps)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "bitrates, version",
+        [((1e5, math.nan, 3e5), 2), ((1e5, 2e5, 10**400), 3)],
+        ids=["nan", "huge-int"],
+    )
+    def test_a_target_bitrate_is_refused_by_its_version(self, bitrates, version):
+        # named like a bad QP or segment size
+        with pytest.raises(ValueError) as info:
+            small_spec(target_avg_bitrates=bitrates)
+        bad = bitrates[version - 1]
+        message = f"version {version}: target bitrate must be a finite number > 0, got {bad!r}"
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("qps", [(), (42,)])
     def test_a_spec_and_a_manifest_refuse_too_few_versions_alike(self, qps):
         # model.check_qps owns the version count, so both raise its one message
@@ -180,7 +194,7 @@ class TestVbrLadder:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            ({"target_avg_bitrates": (400e3, 1000e3, 10**400)}, "target bitrates"),
+            ({"target_avg_bitrates": (400e3, 1000e3, 10**400)}, "target bitrate"),
             ({"segment_duration": 10**400}, "segment_duration"),
         ],
     )
