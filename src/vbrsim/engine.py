@@ -28,7 +28,7 @@ from . import policies
 from .estimators import EstimatorState, estimate_cross_version_bitrate
 from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
 from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
-from .model import check, check_each, int_range, one_of, segment_size
+from .model import check, check_each, check_keys, int_range, one_of, segment_size
 
 
 class SegmentRecord(NamedTuple):
@@ -334,18 +334,6 @@ def save_logs(log: SessionLog, jsonl_path, csv_path) -> None:
             csv_file.write(_csv_lines(block))
 
 
-def _check_keys(obj, keys, where: str) -> None:
-    """Raise ValueError naming the first missing or unknown key of ``obj``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where}: missing field {key!r}")
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"{where}: unknown field {key!r}")
-
-
 def _value_error(path, lineno: int, name: str, value, wording: str) -> ValueError:
     return ValueError(f"{path}: line {lineno}: field {name!r} must be {wording}, got {value!r}")
 
@@ -384,8 +372,8 @@ def load_log_jsonl(path) -> SessionLog:
     if first is None:
         raise ValueError(f"{path}: empty log file")
     header = _json_line(path, *first)
-    _check_keys(header, _HEADER_KEYS, f"{path}: header")
-    _check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+    check_keys(header, _HEADER_KEYS, f"{path}: header")
+    check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
     for key, _, rule in _HEADER_FIELDS:
         check(header[key], rule, f"{path}: line 1: field {key!r}")
     try:
@@ -396,7 +384,7 @@ def load_log_jsonl(path) -> SessionLog:
         rows = _block_values(path, block)
         for (lineno, _), row in zip(block, rows):
             if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                _check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
+                check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
         # each record is built as the plain tuple it is, as in run_session
         records.extend(
             map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))

@@ -262,36 +262,39 @@ class ClientView(NamedTuple):
 # breakpoint; kbps means 1000 bit/s.
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{where}: expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise ValueError(f"{where}: missing field {key!r}")
-    return mapping[key]
+def check_keys(obj, keys, where: str) -> None:
+    """Raise ValueError naming the first missing or unknown key of ``obj``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown field {key!r}")
 
 
 def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
-    title = _require(data, "title", where)
-    duration = _require(data, "segment_duration_s", where)
-    unit = _require(data, "size_unit", where)
+    check_keys(data, ("title", "segment_duration_s", "size_unit", "versions"), where)
+    unit = data["size_unit"]
     check(unit, one_of(("bits", "bytes")), f"{where}: size_unit")
-    raw_versions = _require(data, "versions", where)
+    raw_versions = data["versions"]
     if not isinstance(raw_versions, list):
         raise ValueError(f"{where}: versions must be a list, got {type(raw_versions).__name__}")
     try:
         qps, sizes = [], []
         for pos, v in enumerate(raw_versions, start=1):
-            at = f"versions[{pos - 1}]"
-            index = _require(v, "index", at)
+            check_keys(v, ("index", "qp", "segment_sizes"), f"versions[{pos - 1}]")
+            index = v["index"]
             # the index exists only in the file: it must be the position
             if type(index) is not int or index != pos:
                 raise ValueError(
                     f"versions must be sorted with contiguous indices 1..V; "
                     f"position {pos} has index {index!r}"
                 )
-            qps.append(_require(v, "qp", at))
-            sizes.append(_require(v, "segment_sizes", at))
-        manifest = VideoManifest(title, duration, qps, sizes)
+            qps.append(v["qp"])
+            sizes.append(v["segment_sizes"])
+        manifest = VideoManifest(data["title"], data["segment_duration_s"], qps, sizes)
         if unit == "bytes":
             # only after validation, so that a JSON true never becomes 8
             bits = [[s * 8 for s in row] for row in manifest.segment_sizes]

@@ -53,7 +53,7 @@ class TestSegmentBitrate:
 class TestManifestInvariants:
     def test_needs_two_versions(self):
         for sizes in ([], [(100, 100)]):
-            with pytest.raises(ValueError, match="at least 2 versions"):
+            with pytest.raises(ValueError, match="^qps must name at least 2 versions, got"):
                 make_manifest(sizes)
 
     def test_segment_counts_must_match(self):
@@ -251,7 +251,7 @@ class TestFileFormats:
         assert m.segment_sizes == ((800,), (1600,))
 
     def test_manifest_missing_field_names_it(self):
-        with pytest.raises(ValueError, match="qp"):
+        with pytest.raises(ValueError, match="missing field 'qp'"):
             manifest_from_dict(
                 {
                     "title": "b",
@@ -283,13 +283,13 @@ class TestFileFormats:
     def test_trace_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,bw\n0,2500\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="expected header 'time_s,bandwidth_kbps', got"):
             load_trace(path)
 
     def test_trace_bad_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time_s,bandwidth_kbps\n0,abc\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2: could not convert string to float: 'abc'"):
             load_trace(path)
 
 
