@@ -35,15 +35,15 @@ class SegmentRecord(NamedTuple):
     """One log line: a plain tuple whose fields are the ``LOG_COLUMNS``, in order."""
 
     index: int
-    version_requested: int
+    version: int
     size_bits: float
-    request_time: float
-    completion_time: float
-    instant_throughput: float
-    buffer_before: float
-    buffer_after: float
-    case_label: str
-    stall_time: float
+    request_time_s: float
+    completion_time_s: float
+    throughput_bps: float
+    buffer_before_s: float
+    buffer_after_s: float
+    case: str
+    stall_time: float  # the stall_s column; perfbench/tracer.py reads this name
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class SessionLog:
     config: ClientConfig
     manifest_title: str
     trace_label: str
-    segment_duration: float
+    segment_duration_s: float
     num_versions: int
-    playback_start: float
+    playback_start_s: float
 
 
 def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) -> float:
@@ -201,9 +201,9 @@ def run_session(
         config=cfg,
         manifest_title=manifest.title,
         trace_label=trace_label,
-        segment_duration=duration,
+        segment_duration_s=duration,
         num_versions=num_versions,
-        playback_start=records[0].completion_time,
+        playback_start_s=records[0].completion_time_s,
     )
 
 
@@ -242,16 +242,16 @@ _case_label = itemgetter(LOG_COLUMNS.index("case"))
 _BLOCK = 64
 
 
-# (header key, SessionLog field, rule); the header also holds "config". A
+# (header key and SessionLog field, rule); the header also holds "config". A
 # manifest's QPs are distinct, so it has at most one version per QP
 _HEADER_FIELDS = (
-    ("manifest_title", "manifest_title", STRING),
-    ("trace_label", "trace_label", STRING),
-    ("segment_duration_s", "segment_duration", POSITIVE),
-    ("num_versions", "num_versions", int_range(1, QP_MAX - QP_MIN + 1)),
-    ("playback_start_s", "playback_start", POSITIVE),
+    ("manifest_title", STRING),
+    ("trace_label", STRING),
+    ("segment_duration_s", POSITIVE),
+    ("num_versions", int_range(1, QP_MAX - QP_MIN + 1)),
+    ("playback_start_s", POSITIVE),
 )
-_HEADER_KEYS = tuple(key for key, _, _ in _HEADER_FIELDS) + ("config",)
+_HEADER_KEYS = tuple(key for key, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
 
 
@@ -260,7 +260,7 @@ def _value_text(records):
 
     A record's text is the repr of its nine numbers and its raw ``case`` label.
     A request time that is the previous record's completion time object, and a
-    buffer_before that is its buffer_after object, as ``run_session`` logs them
+    buffer_before_s that is its buffer_after_s object, as ``run_session`` logs them
     unless the client idled, reuse that text. Identity, not equality, decides,
     since 0.0 == -0.0.
     """
@@ -294,7 +294,7 @@ def _csv_lines(block) -> str:
 
 
 def _jsonl_header(log: SessionLog) -> str:
-    header = {key: getattr(log, field) for key, field, _ in _HEADER_FIELDS}
+    header = {key: getattr(log, key) for key, _ in _HEADER_FIELDS}
     header["config"] = asdict(log.config)
     return json.dumps(header, sort_keys=True) + "\n"
 
@@ -374,11 +374,11 @@ def load_log_jsonl(path) -> SessionLog:
     header = _json_line(path, *first)
     check_keys(header, _HEADER_KEYS, f"{path}: header")
     check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
-    for key, _, rule in _HEADER_FIELDS:
+    for key, rule in _HEADER_FIELDS:
         check(header[key], rule, f"{path}: line 1: field {key!r}")
     try:
         config = ClientConfig(**header["config"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: header config: {exc}") from exc
     while block := list(itertools.islice(lines, _BLOCK)):
         rows = _block_values(path, block)
@@ -414,5 +414,5 @@ def load_log_jsonl(path) -> SessionLog:
     return SessionLog(
         records=tuple(records),
         config=config,
-        **{field: header[key] for key, field, _ in _HEADER_FIELDS},
+        **{key: header[key] for key, _ in _HEADER_FIELDS},
     )

@@ -3,7 +3,7 @@
 Switch-degree statistics are taken over ALL consecutive version transitions,
 zero-degree transitions included, with the population standard deviation.
 Buffer statistics use the per-segment buffer level sampled after each
-completion (buffer_after), not a time-weighted integral. Means are
+completion (buffer_after_s), not a time-weighted integral. Means are
 ``math.fsum(values) / n``, and each standard deviation is the correctly
 rounded square root of the variance formed from exact integer sums, so both
 equal what ``statistics.fmean`` and ``statistics.pstdev`` return on every
@@ -56,7 +56,7 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
     versions = list(map(_VERSION, records))
     buffers = list(map(_BUFFER_AFTER, records))
     degrees = list(map(abs, map(sub, islice(versions, 1, None), versions)))
-    bitrates = map(truediv, map(_SIZE, records), repeat(log.segment_duration))
+    bitrates = map(truediv, map(_SIZE, records), repeat(log.segment_duration_s))
     try:
         average_bitrate = math.fsum(bitrates) / n
     except OverflowError:  # fsum's exact sum of finite bitrates passed the float range
@@ -127,13 +127,13 @@ def _finite(value: float, name: str, column: str) -> float:
 
 
 def buffer_cdf(log: SessionLog) -> list:
-    """Empirical CDF of buffer_after, as (level, fraction) pairs.
+    """Empirical CDF of buffer_after_s, as (level, fraction) pairs.
 
     The buffer never holds more than beta_max + one segment, nor more media
     than the session has. The levels are one per second up to CDF_MAX_POINTS
     seconds, a wider whole-second step beyond, and the last at or above the top.
     """
-    duration = log.segment_duration
+    duration = log.segment_duration_s
     top = min(log.config.beta_max + duration, len(log.records) * duration)
     step = max(1, math.ceil(top / CDF_MAX_POINTS))
     levels = map(float, range(0, math.ceil(top) + step, step))
@@ -150,7 +150,7 @@ def warmup_segments(log: SessionLog) -> int:
     """
     last = len(log.records) - 1
     for i, rec in enumerate(log.records):
-        if rec.buffer_after >= log.config.beta_max:
+        if rec.buffer_after_s >= log.config.beta_max:
             return i + 1 if i < last else 0
     return 0
 

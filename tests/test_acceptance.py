@@ -151,33 +151,33 @@ def test_criterion_6_structural_invariants():
         log = run_session(manifest, trace, cfg, trace_label=f"combo-{combo}")
         cap = cfg.beta_max + manifest.segment_duration
         for rec in log.records:
-            assert 0.0 <= rec.buffer_after <= cap, (combo, rec.index, rec.buffer_after)
+            assert 0.0 <= rec.buffer_after_s <= cap, (combo, rec.index, rec.buffer_after_s)
         if policy == "avg":
             for rec, nxt in zip(log.records, log.records[1:]):
-                if nxt.version_requested > rec.version_requested:
-                    assert rec.buffer_after > cfg.beta_max, (combo, rec.index)
-                if rec.case_label != "panic":
-                    assert abs(nxt.version_requested - rec.version_requested) <= 1, (
+                if nxt.version > rec.version:
+                    assert rec.buffer_after_s > cfg.beta_max, (combo, rec.index)
+                if rec.case != "panic":
+                    assert abs(nxt.version - rec.version) <= 1, (
                         combo,
                         rec.index,
                     )
                 # a stable buffer keeps the version, and panic never raises it
-                if rec.case_label == "stable":
-                    assert nxt.version_requested == rec.version_requested, (combo, rec.index)
-                if rec.case_label == "panic":
-                    assert nxt.version_requested <= rec.version_requested, (combo, rec.index)
+                if rec.case == "stable":
+                    assert nxt.version == rec.version, (combo, rec.index)
+                if rec.case == "panic":
+                    assert nxt.version <= rec.version, (combo, rec.index)
             for rec in log.records:
                 # exactly one regime label per decision, consistent with the
                 # buffer ranges that do not depend on the flexible threshold
-                assert rec.case_label in ("uptrend", "stable", "downtrend", "panic")
-                if rec.buffer_after > cfg.beta_max:
-                    assert rec.case_label == "uptrend", (combo, rec.index)
-                elif rec.buffer_after < cfg.beta_min:
-                    assert rec.case_label == "panic", (combo, rec.index)
+                assert rec.case in ("uptrend", "stable", "downtrend", "panic")
+                if rec.buffer_after_s > cfg.beta_max:
+                    assert rec.case == "uptrend", (combo, rec.index)
+                elif rec.buffer_after_s < cfg.beta_min:
+                    assert rec.case == "panic", (combo, rec.index)
                 else:
-                    assert rec.case_label in ("stable", "downtrend"), (combo, rec.index)
+                    assert rec.case in ("stable", "downtrend"), (combo, rec.index)
         else:
-            assert all(rec.case_label == "itb" for rec in log.records)
+            assert all(rec.case == "itb" for rec in log.records)
 
         rerun = run_session(manifest, trace, cfg, trace_label=f"combo-{combo}")
         with tempfile.TemporaryDirectory() as tmp:

@@ -810,6 +810,15 @@ _SIZE_RULE = "size must be a finite number > 0 whose bitrate over 2.0 s is finit
             "version 3 has no segments", id="empty-sizes",
         ),
         pytest.param(
+            "manifest", lambda m: m["versions"][2]["segment_sizes"].pop(),
+            "all versions must have the same segment count, got {299, 300}",
+            id="unequal-segment-counts",
+        ),
+        pytest.param(
+            "manifest", lambda m: m.update(size_unit="kb"),
+            "size_unit must be one of ['bits', 'bytes'], got 'kb'", id="unknown-size-unit",
+        ),
+        pytest.param(
             "manifest", lambda m: m.update(bogus=1), "unknown field 'bogus'",
             id="unknown-manifest-key",
         ),
@@ -857,6 +866,9 @@ _SIZE_RULE = "size must be a finite number > 0 whose bitrate over 2.0 s is finit
         ),
         pytest.param(
             "args", ["--theta", "nan"], "theta must be a finite number > 0, got nan", id="nan-theta"
+        ),
+        pytest.param(
+            "args", ["--delta", "1.5"], "delta must be in (0, 1], got 1.5", id="delta-above-1"
         ),
         pytest.param(
             "args", ["--rtt", "inf"], "rtt must be a finite number >= 0, got inf", id="inf-rtt"
@@ -1102,7 +1114,7 @@ def test_warmup_auto_keeps_every_segment_when_the_buffer_fills_on_the_last(
     run = ["run", "--manifest", str(manifest), "--bandwidth", str(trace), "--policy", "avg"]
     assert main([*run, "--warmup", "0", "--out", str(tmp_path / "zero")]) == 0
     log = tmp_path / "zero" / "avg-30.jsonl"
-    buffers = [r.buffer_after for r in load_log_jsonl(log).records]
+    buffers = [r.buffer_after_s for r in load_log_jsonl(log).records]
     assert max(buffers[:-1]) < 50.0 <= buffers[-1]
     if command == "run":
         assert main([*run, "--warmup", "auto", "--out", str(tmp_path / "auto")]) == 0

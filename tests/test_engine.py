@@ -6,7 +6,7 @@ import math
 import random
 import re
 from bisect import bisect_right
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -186,20 +186,21 @@ class TestRunSessionSteadyState:
         m = cbr_manifest(segments=120)
         trace = constant_trace(12e6)  # above the top rung
         log = run_session(m, trace, ClientConfig(window_n=10))
-        versions = [r.version_requested for r in log.records]
+        versions = [r.version for r in log.records]
         assert versions[-40:] == [6] * 40
         assert sum(r.stall_time for r in log.records) == 0.0
-        assert max(r.buffer_after for r in log.records) <= 50.0 + 2.0
-        assert min(r.buffer_after for r in log.records[-40:]) >= 49.0
+        assert max(r.buffer_after_s for r in log.records) <= 50.0 + 2.0
+        assert min(r.buffer_after_s for r in log.records[-40:]) >= 49.0
 
     def test_record_identities(self):
         m = cbr_manifest()
         log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
         for r in log.records:
-            assert r.completion_time > r.request_time
-            assert r.instant_throughput == r.size_bits / (r.completion_time - r.request_time)
-            drained = max(r.buffer_before - (r.completion_time - r.request_time) + r.stall_time, 0.0)
-            assert r.buffer_after == pytest.approx(drained + m.segment_duration, abs=1e-9)
+            assert r.completion_time_s > r.request_time_s
+            assert r.throughput_bps == r.size_bits / (r.completion_time_s - r.request_time_s)
+            elapsed = r.completion_time_s - r.request_time_s
+            drained = max(r.buffer_before_s - elapsed + r.stall_time, 0.0)
+            assert r.buffer_after_s == pytest.approx(drained + m.segment_duration, abs=1e-9)
 
     def test_media_conservation(self):
         # media downloaded = media played + final buffer, where playback runs
@@ -220,9 +221,9 @@ class TestRunSessionSteadyState:
                 for policy in ("avg", "itb"):
                     log = run_session(m, trace, ClientConfig(window_n=10, rtt=rtt, policy=policy))
                     last = log.records[-1]
-                    wall = last.completion_time - log.playback_start
+                    wall = last.completion_time_s - log.playback_start_s
                     downloaded = m.num_segments * m.segment_duration
-                    expected = wall + last.buffer_after - downloaded
+                    expected = wall + last.buffer_after_s - downloaded
                     stall = sum(r.stall_time for r in log.records)
                     assert stall == pytest.approx(expected, abs=1e-6)
                     if m is heavy:
@@ -238,7 +239,7 @@ class TestRunSessionSteadyState:
             assert r.stall_time >= 0
             if r.stall_time > 0:
                 # a stalled download drained the whole buffer
-                assert r.buffer_after == pytest.approx(m.segment_duration)
+                assert r.buffer_after_s == pytest.approx(m.segment_duration)
         assert compute_stats(log).total_stall == pytest.approx(
             sum(r.stall_time for r in log.records)
         )
@@ -253,8 +254,8 @@ class TestRunSessionSteadyState:
             cfg = ClientConfig(window_n=10, policy=rng.choice(["avg", "itb"]))
             log = run_session(m, trace, cfg)
             for r in log.records:
-                assert 0.0 <= r.buffer_after <= cfg.beta_max + m.segment_duration + 1e-9
-                assert r.buffer_before >= 0.0
+                assert 0.0 <= r.buffer_after_s <= cfg.beta_max + m.segment_duration + 1e-9
+                assert r.buffer_before_s >= 0.0
 
     def test_determinism_byte_identical(self, tmp_path):
         m = gen_vbr_ladder(ladder_preset("sony-like", segment_count=80))
@@ -269,9 +270,9 @@ class TestRunSessionSteadyState:
         m = cbr_manifest()
         log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
         first = log.records[0]
-        assert log.playback_start == first.completion_time
-        assert first.buffer_before == 0.0
-        assert first.buffer_after == m.segment_duration
+        assert log.playback_start_s == first.completion_time_s
+        assert first.buffer_before_s == 0.0
+        assert first.buffer_after_s == m.segment_duration
         assert first.stall_time == 0.0
 
     def test_start_version_out_of_range(self):
@@ -284,7 +285,7 @@ class TestRunSessionSteadyState:
         # no session on a 500 kbps link requests version 6, yet one segment of it
         # whose projection onto version 1 underflows refuses the session at its start
         m, trace, cfg = cbr_manifest(), constant_trace(500e3), ClientConfig(policy=policy)
-        assert max(r.version_requested for r in run_session(m, trace, cfg).records) < 6
+        assert max(r.version for r in run_session(m, trace, cfg).records) < 6
         top = m.segment_sizes[5]
         m = replace(m, segment_sizes=(*m.segment_sizes[:5], (*top[:30], 4e-323, *top[31:])))
         message = (
@@ -349,7 +350,7 @@ class TestRunSessionSteadyState:
         log = run_session(m, constant_trace(3e6), ClientConfig(window_n=10))
         # each segment is ingested, then decided on
         assert calls == ["ingest", "decide"] * 25
-        assert all(r.case_label for r in log.records)
+        assert all(r.case for r in log.records)
 
 
 class TestInformationBarrier:
@@ -358,7 +359,7 @@ class TestInformationBarrier:
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 40, 30, 130)
         cfg = ClientConfig(window_n=10)
         log = run_session(m, trace, cfg)
-        requested = {(r.version_requested, r.index) for r in log.records}
+        requested = {(r.version, r.index) for r in log.records}
 
         perturbed_sizes = [
             [
@@ -370,10 +371,8 @@ class TestInformationBarrier:
         m2 = VideoManifest(m.title, m.segment_duration, m.qps, perturbed_sizes)
 
         log2 = run_session(m2, trace, cfg)
-        assert [r.version_requested for r in log2.records] == [
-            r.version_requested for r in log.records
-        ]
-        assert [r.case_label for r in log2.records] == [r.case_label for r in log.records]
+        assert [r.version for r in log2.records] == [r.version for r in log.records]
+        assert [r.case for r in log2.records] == [r.case for r in log.records]
 
     def test_engine_reads_only_requested_sizes(self):
         inner = gen_vbr_ladder(ladder_preset("sony-like", segment_count=60))
@@ -402,7 +401,7 @@ class TestInformationBarrier:
         )
         trace = gen_rect_bandwidth(2.5e6, 0.5e6, 40, 30, 130)
         log = run_session(wrapped, trace, ClientConfig(window_n=10))
-        requested = {(r.version_requested, r.index) for r in log.records}
+        requested = {(r.version, r.index) for r in log.records}
         assert accessed == requested
         assert log == run_session(inner, trace, ClientConfig(window_n=10))
 
@@ -412,9 +411,9 @@ def _dumps_jsonl(log):
     header = {
         "manifest_title": log.manifest_title,
         "trace_label": log.trace_label,
-        "segment_duration_s": log.segment_duration,
+        "segment_duration_s": log.segment_duration_s,
         "num_versions": log.num_versions,
-        "playback_start_s": log.playback_start,
+        "playback_start_s": log.playback_start_s,
         "config": asdict(log.config),
     }
     lines = [json.dumps(header, sort_keys=True)]
@@ -463,21 +462,10 @@ class TestLogSerialization:
         header = json.loads(lines[0])
         records = [json.loads(line) for line in lines[1:]]
         names = list(LOG_COLUMNS)
-        # the SegmentRecord field each column holds, in column order
-        field_of = {
-            "index": "index",
-            "version": "version_requested",
-            "size_bits": "size_bits",
-            "request_time_s": "request_time",
-            "completion_time_s": "completion_time",
-            "throughput_bps": "instant_throughput",
-            "buffer_before_s": "buffer_before",
-            "buffer_after_s": "buffer_after",
-            "case": "case_label",
-            "stall_s": "stall_time",
-        }
-        assert list(field_of) == names
-        assert list(field_of.values()) == list(SegmentRecord._fields)
+        # record fields take the column names, but for stall_time, which the
+        # benchmark's tracer reads; SessionLog fields take the header's keys
+        assert SegmentRecord._fields == LOG_COLUMNS[:-1] + ("stall_time",)
+        assert {f.name for f in fields(log)} - {"records", "config"} == header.keys() - {"config"}
         assert "total_stall_s" not in header
         assert len(rows) == len(records) == 12
         assert any(rec["stall_s"] > 0 for rec in records)
@@ -485,7 +473,7 @@ class TestLogSerialization:
             assert list(row) == names
             assert list(rec) == names
             assert row == {name: str(value) for name, value in rec.items()}
-            assert {field_of[name]: value for name, value in rec.items()} == record._asdict()
+            assert tuple(rec.values()) == record
 
     def test_record_lines_match_json_dumps(self, tmp_path):
         rng = random.Random(11)
@@ -527,7 +515,7 @@ class TestLogSerialization:
             run_session(cbr_manifest(segments=40), drop, ClientConfig(window_n=10)),
         ]
         assert sum(r.stall_time for r in sessions[-1].records) > 0
-        assert {"itb", "stable"} <= {r.case_label for log in sessions for r in log.records}
+        assert {"itb", "stable"} <= {r.case for log in sessions for r in log.records}
         for log in sessions:
             save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
             assert (tmp_path / "log.jsonl").read_text() == _dumps_jsonl(log)
@@ -559,14 +547,14 @@ class TestLogSerialization:
 
     def test_reused_text_matches_the_stdlib_writers(self, tmp_path):
         # a record's request time is the previous completion time object, and
-        # its buffer_before the previous buffer_after object, unless the client
+        # its buffer_before_s the previous buffer_after_s object, unless the client
         # idled; then both are new objects
         m = cbr_manifest(bitrates_kbps=(500, 1000), segments=80)
         trace = BandwidthTrace(((0.0, 5e6), (40.0, 100e3), (150.0, 5e6)))
         log = run_session(m, trace, ClientConfig(window_n=10, beta_min=5.0, beta_max=20.0))
         pairs = list(zip(log.records, log.records[1:]))
-        reused = [b.request_time is a.completion_time for a, b in pairs]
-        assert reused == [b.buffer_before is a.buffer_after for a, b in pairs]
+        reused = [b.request_time_s is a.completion_time_s for a, b in pairs]
+        assert reused == [b.buffer_before_s is a.buffer_after_s for a, b in pairs]
         assert any(reused) and not all(reused)
         assert any(r.stall_time > 0 for r in log.records)
         save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
@@ -576,9 +564,9 @@ class TestLogSerialization:
     def test_text_is_reused_by_identity_not_equality(self, tmp_path):
         # 0.0 == -0.0, but json.dumps and csv.writer write them differently
         first, second, third = synthetic_log([1, 2, 1]).records
-        first = first._replace(completion_time=0.0, buffer_after=0.0)
-        second = second._replace(request_time=-0.0, buffer_before=-0.0, completion_time=1.5)
-        third = third._replace(request_time=second.completion_time)
+        first = first._replace(completion_time_s=0.0, buffer_after_s=0.0)
+        second = second._replace(request_time_s=-0.0, buffer_before_s=-0.0, completion_time_s=1.5)
+        third = third._replace(request_time_s=second.completion_time_s)
         log = replace(synthetic_log([1, 2, 1]), records=(first, second, third))
         save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
         text = (tmp_path / "log.jsonl").read_text()
@@ -630,7 +618,7 @@ class TestLogSerialization:
             log = run_session(vbr, trace, cfg, trace_label=name)
             if name == "avg-30-starved":
                 assert sum(r.stall_time for r in log.records) > 0
-                assert "panic" in {r.case_label for r in log.records}
+                assert "panic" in {r.case for r in log.records}
             save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
             written[name] = tuple(
                 hashlib.sha256((tmp_path / f"log.{ext}").read_bytes()).hexdigest()
@@ -641,7 +629,7 @@ class TestLogSerialization:
     def test_writers_refuse_a_case_label_outside_the_policy(self, tmp_path):
         avg = synthetic_log([1, 2, 1])
         itb = replace(avg, config=ClientConfig(policy="itb"))
-        itb = replace(itb, records=tuple(r._replace(case_label="itb") for r in itb.records))
+        itb = replace(itb, records=tuple(r._replace(case="itb") for r in itb.records))
         writers = (
             lambda log: save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv"),
             lambda log: save_log_jsonl(log, tmp_path / "log.jsonl"),
@@ -649,7 +637,7 @@ class TestLogSerialization:
         )
         for log, label in ((avg, 'odd,"label"'), (avg, "itb"), (itb, "stable")):
             # one foreign label, after two the policy writes
-            odd = log.records[2]._replace(case_label=label)
+            odd = log.records[2]._replace(case=label)
             bad = replace(log, records=log.records[:2] + (odd,))
             for write in writers:
                 with pytest.raises(ValueError, match=re.escape(f"case label {label!r}")):

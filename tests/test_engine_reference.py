@@ -109,21 +109,21 @@ def test_engine_matches_event_stepped_reference():
     idled = stalled = crossed = 0
     for name, manifest, trace, cfg in sessions():
         log = run_session(manifest, trace, cfg)
-        versions = [r.version_requested for r in log.records]
+        versions = [r.version for r in log.records]
         starts = [t for t, _ in trace.breakpoints]
         for record, (request, completion, before, after, stall) in zip(
             log.records, replay(manifest, trace, cfg, versions)
         ):
             where = (name, record.index)
             clock = completion
-            assert math.isclose(record.request_time, request, rel_tol=REL), where
-            assert math.isclose(record.completion_time, completion, rel_tol=REL), where
-            for got, want in ((record.buffer_before, before), (record.buffer_after, after)):
+            assert math.isclose(record.request_time_s, request, rel_tol=REL), where
+            assert math.isclose(record.completion_time_s, completion, rel_tol=REL), where
+            for got, want in ((record.buffer_before_s, before), (record.buffer_after_s, after)):
                 assert math.isclose(got, want, rel_tol=REL, abs_tol=REL * clock), where
             assert math.isclose(record.stall_time, stall, rel_tol=REL, abs_tol=REL * clock), where
             stalled += record.stall_time > 0
             crossed += bisect_right(starts, completion) > bisect_right(starts, request)
         pairs = zip(log.records, log.records[1:])
-        idled += sum(b.request_time > a.completion_time for a, b in pairs)
+        idled += sum(b.request_time_s > a.completion_time_s for a, b in pairs)
     # the sessions reach every event kind
     assert idled > 100 and stalled > 100 and crossed > 100, (idled, stalled, crossed)

@@ -27,8 +27,8 @@ def reference(log, qps) -> list:
     smoothed = None
     decisions = []
     for r in log.records:
-        current, buffer, t = r.version_requested, r.buffer_after, r.instant_throughput
-        b = r.size_bits / log.segment_duration
+        current, buffer, t = r.version, r.buffer_after_s, r.throughput_bps
+        b = r.size_bits / log.segment_duration_s
         latest = [cfg.theta * b * 2.0 ** ((qps[current - 1] - qp) / 6) for qp in qps]
         latest[current - 1] = b
         for h, rate in zip(history, latest):
@@ -63,8 +63,8 @@ def _mismatches(log, qps) -> list:
     out = []
     for i, (case, version) in enumerate(reference(log, qps)):
         # the last decision requests no segment, so only its case is logged
-        next_version = records[i + 1].version_requested if i + 1 < len(records) else version
-        logged = (records[i].case_label, next_version)
+        next_version = records[i + 1].version if i + 1 < len(records) else version
+        logged = (records[i].case, next_version)
         if logged != (case, version):
             out.append(f"segment {i}: logged {logged}, reference ({case!r}, {version})")
     return out

@@ -62,14 +62,14 @@ def synthetic_log(versions, buffers=None, stalls=None, duration=2.0, bitrate=1e6
         records.append(
             SegmentRecord(
                 index=i,
-                version_requested=v,
+                version=v,
                 size_bits=size,
-                request_time=t,
-                completion_time=t + 1.0,
-                instant_throughput=size / 1.0,
-                buffer_before=buffers[i],
-                buffer_after=buffers[i],
-                case_label="stable",
+                request_time_s=t,
+                completion_time_s=t + 1.0,
+                throughput_bps=size / 1.0,
+                buffer_before_s=buffers[i],
+                buffer_after_s=buffers[i],
+                case="stable",
                 stall_time=stalls[i],
             )
         )
@@ -79,7 +79,7 @@ def synthetic_log(versions, buffers=None, stalls=None, duration=2.0, bitrate=1e6
         config=ClientConfig(),
         manifest_title="synthetic",
         trace_label="synthetic",
-        segment_duration=duration,
+        segment_duration_s=duration,
         num_versions=max(versions),
-        playback_start=1.0,
+        playback_start_s=1.0,
     )
