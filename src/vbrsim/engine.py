@@ -32,7 +32,7 @@ from .model import check, check_each, check_keys, int_range, one_of, segment_siz
 
 
 class SegmentRecord(NamedTuple):
-    """One log line: a plain tuple whose fields are the ``LOG_COLUMNS``, in order."""
+    """One log line: a plain tuple whose fields declare the ``LOG_COLUMNS``, in order."""
 
     index: int
     version: int
@@ -211,20 +211,9 @@ def run_session(
 # Serialization: JSON lines (header line, then one record per line) and CSV.
 # ---------------------------------------------------------------------------
 
-# The log's column names, in SegmentRecord field order: a record is a tuple in
-# column order, which both writers and load_log_jsonl rely on
-LOG_COLUMNS = (
-    "index",
-    "version",
-    "size_bits",
-    "request_time_s",
-    "completion_time_s",
-    "throughput_bps",
-    "buffer_before_s",
-    "buffer_after_s",
-    "case",
-    "stall_s",
-)
+# The SegmentRecord fields, with stall_time written as stall_s: a record is a
+# tuple in column order, which both writers and load_log_jsonl rely on
+LOG_COLUMNS = SegmentRecord._fields[:-1] + ("stall_s",)
 _COLUMN_SET = frozenset(LOG_COLUMNS)
 _column_values = itemgetter(*LOG_COLUMNS)
 # One JSONL record line, filled with value text. json.dumps writes an int or a

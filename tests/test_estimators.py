@@ -60,7 +60,7 @@ class TestSmoothedThroughput:
     def test_rejects_nonpositive(self):
         # a throughput of 0.0 is refused in the session loop
         # (tests/test_cli.py::test_run_rejects_a_value_that_underflows_to_zero)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta must be a finite number > 0, got 0$"):
             ClientConfig(delta=0)
 
 

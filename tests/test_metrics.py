@@ -72,9 +72,9 @@ class TestComputeStats:
 
     def test_errors(self):
         log = make_log([1, 2, 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^warmup_exclude 3 >= record count 3$"):
             compute_stats(log, warmup_exclude=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^warmup_exclude must be >= 0, got -1$"):
             compute_stats(log, warmup_exclude=-1)
         with pytest.raises(ValueError, match="warmup_exclude 0 >= record count 0"):
             compute_stats(replace(log, records=()))

@@ -57,13 +57,15 @@ class TestManifestInvariants:
                 make_manifest(sizes)
 
     def test_segment_counts_must_match(self):
-        with pytest.raises(ValueError):
+        message = "all versions must have the same segment count, got {2, 3}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_manifest([(100, 100), (200, 200, 200)])
         with pytest.raises(ValueError, match="need one segment_sizes list per qp: 3 qps, 2 lists"):
             VideoManifest("bad", 2.0, qps=(48, 42, 38), segment_sizes=((100,), (200,)))
 
     def test_qp_must_decrease_with_index(self):
-        with pytest.raises(ValueError):
+        message = "qp must strictly decrease with version index (version 1 qp=30, version 2 qp=30)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             VideoManifest("bad", 2.0, qps=(30, 30), segment_sizes=((100,), (200,)))
         for bad in ("30", 30.0, True, -1, 64, 2**70):
             with pytest.raises(ValueError, match="qp must be an int"):
@@ -148,6 +150,33 @@ class TestBandwidthAt:
         assert type(trace.breakpoints[0]) is tuple and type(trace.starts[0]) is float
 
 
+# each ClientConfig that is refused, and its full message
+_INVALID_CONFIGS = [
+    ({"beta_min": 50, "beta_max": 50}, "beta_min must be < beta_max 50, got 50"),
+    ({"beta_min": 60, "beta_max": 50}, "beta_min must be < beta_max 50, got 60"),
+    ({"beta_min": 0}, "beta_min must be a finite number > 0, got 0"),
+    ({"window_n": 0}, f"window_n must be an int in 1..{sys.maxsize}, got 0"),
+    ({"delta": 0}, "delta must be a finite number > 0, got 0"),
+    ({"delta": 1.5}, "delta must be in (0, 1], got 1.5"),
+    ({"theta": 0}, "theta must be a finite number > 0, got 0"),
+    ({"rtt": -1}, "rtt must be a finite number >= 0, got -1"),
+    ({"policy": "tbb"}, "policy must be one of ['avg', 'itb'], got 'tbb'"),
+    ({"uptrend_gate": "other"}, "uptrend_gate must be one of ['prose', 'pseudocode'], got 'other'"),
+    ({"theta": math.nan}, "theta must be a finite number > 0, got nan"),
+    ({"theta": math.inf}, "theta must be a finite number > 0, got inf"),
+    ({"rtt": math.nan}, "rtt must be a finite number >= 0, got nan"),
+    ({"rtt": math.inf}, "rtt must be a finite number >= 0, got inf"),
+    ({"beta_max": math.inf}, "beta_max must be a finite number > 0, got inf"),
+    ({"beta_max": math.nan}, "beta_max must be a finite number > 0, got nan"),
+    ({"beta_min": math.nan}, "beta_min must be a finite number > 0, got nan"),
+    ({"window_n": 2.5}, f"window_n must be an int in 1..{sys.maxsize}, got 2.5"),
+    ({"theta": "0.9"}, "theta must be a finite number > 0, got '0.9'"),
+    ({"theta": 10**400}, f"theta must be a finite number > 0, got {10**400}"),
+    ({"rtt": 10**400}, f"rtt must be a finite number >= 0, got {10**400}"),
+    ({"beta_max": 10**400}, f"beta_max must be a finite number > 0, got {10**400}"),
+]
+
+
 class TestClientConfig:
     def test_defaults(self):
         cfg = ClientConfig()
@@ -158,34 +187,12 @@ class TestClientConfig:
         assert cfg.rtt == 0.040
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"beta_min": 50, "beta_max": 50},
-            {"beta_min": 60, "beta_max": 50},
-            {"beta_min": 0},
-            {"window_n": 0},
-            {"delta": 0},
-            {"delta": 1.5},
-            {"theta": 0},
-            {"rtt": -1},
-            {"policy": "tbb"},
-            {"uptrend_gate": "other"},
-            {"theta": math.nan},
-            {"theta": math.inf},
-            {"rtt": math.nan},
-            {"rtt": math.inf},
-            {"beta_max": math.inf},
-            {"beta_max": math.nan},
-            {"beta_min": math.nan},
-            {"window_n": 2.5},
-            {"theta": "0.9"},
-            {"theta": 10**400},
-            {"rtt": 10**400},
-            {"beta_max": 10**400},
-        ],
+        "kwargs, message",
+        _INVALID_CONFIGS,
+        ids=[f"kwargs{i}" for i in range(len(_INVALID_CONFIGS))],
     )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ClientConfig(**kwargs)
 
     def test_wrong_types_name_the_field(self):

@@ -8,20 +8,22 @@ representative bitrate is the mean of the last N. The four regimes, the
 flexible threshold and the panic rule are written from the policy description
 in ``vbrsim.policies``' docstring; no ``EstimatorState``, ``ClientView`` or
 ``policies`` code is used. Its float operations run in the code's order, so
-each logged ``case`` and next version must agree exactly.
+each logged ``case`` and next version must agree exactly. Its replay also pins
+why AVG-30's ``downtrend`` keeps the version through the grid's outages.
 """
 
 import math
 
 import pytest
-from test_stability import grid_sessions
+from test_stability import PINNED, grid_sessions
 
 from vbrsim import ClientConfig, gen_rect_bandwidth, gen_vbr_ladder, ladder_preset, run_session
 from vbrsim.model import BandwidthTrace, VideoManifest
 
 
 def reference(log, qps) -> list:
-    """The (case, next version) that each record of ``log`` should lead to."""
+    """The (case, next version, smoothed throughput, representative bitrates)
+    that each record of ``log`` should lead to and was decided from."""
     cfg = log.config
     history = [[] for _ in qps]
     smoothed = None
@@ -41,19 +43,20 @@ def reference(log, qps) -> list:
         highest_feasible = max(feasible)[1] if feasible else 1
         threshold = cfg.beta_max - (cfg.beta_max - cfg.beta_min) / (1.0 + math.exp(1.0 - t / b))
         if cfg.policy == "itb":
-            decisions.append(("itb", highest_feasible))
+            case, version = "itb", highest_feasible
         elif buffer > cfg.beta_max:
             gated = current + 1 if cfg.uptrend_gate == "prose" else current
             up = current < len(qps) and reps[gated - 1] < smoothed
-            decisions.append(("uptrend", current + up))
+            case, version = "uptrend", current + up
         elif buffer >= threshold:
-            decisions.append(("stable", current))
+            case, version = "stable", current
         elif buffer >= cfg.beta_min:
             target = max((rep for rep in reps if rep < smoothed), default=None)
             keep = target is not None and b <= target and reps[current - 1] <= target
-            decisions.append(("downtrend", current if keep else max(current - 1, 1)))
+            case, version = "downtrend", current if keep else max(current - 1, 1)
         else:
-            decisions.append(("panic", min(highest_feasible, current)))
+            case, version = "panic", min(highest_feasible, current)
+        decisions.append((case, version, smoothed, reps))
     return decisions
 
 
@@ -61,7 +64,7 @@ def _mismatches(log, qps) -> list:
     """Each segment whose logged case or next version differs from the reference's."""
     records = log.records
     out = []
-    for i, (case, version) in enumerate(reference(log, qps)):
+    for i, (case, version, *_) in enumerate(reference(log, qps)):
         # the last decision requests no segment, so only its case is logged
         next_version = records[i + 1].version if i + 1 < len(records) else version
         logged = (records[i].case, next_version)
@@ -78,6 +81,42 @@ def test_decisions_agree_with_the_reference_on_the_stability_grid():
         for m in _mismatches(log, manifest.qps)
     ]
     assert not mismatches, mismatches[:5]
+
+
+# (burstiness, ladder seed) of each Markov grid case where ITB stalls least ->
+# over AVG-30's downtrend decisions that keep the current version, how many saw
+# instant throughput < the kept version's representative bitrate < smoothed
+# throughput, how many there were, and the least and greatest ratio of smoothed
+# throughput to that representative bitrate, to 2 places
+LAGGING_KEEPS = {
+    (0.0, 0): (16, 16, 1.53, 6.99),
+    (0.0, 1): (3, 3, 1.61, 1.78),
+    (0.0, 3): (8, 8, 1.5, 1.89),
+    (0.3, 1): (3, 4, 1.31, 5.8),
+    (0.3, 3): (7, 9, 1.4, 3.83),
+}
+
+
+def test_downtrend_keeps_the_version_on_a_smoothed_throughput_that_lags_outages():
+    stalls_least = {
+        (burstiness, seed)
+        for (trace, burstiness, seed), (*_, stall) in PINNED.items()
+        if trace == "markov" and stall.startswith("ITB <")
+    }
+    assert stalls_least == LAGGING_KEEPS.keys()
+    out = {}
+    for burstiness, seed in LAGGING_KEEPS:
+        manifest, logs = grid_sessions()[("markov", burstiness, seed)]
+        log = logs["AVG-30"]
+        lagging, ratios = 0, []
+        for r, (case, version, smoothed, reps) in zip(log.records, reference(log, manifest.qps)):
+            if case == "downtrend" and version == r.version:
+                rep = reps[version - 1]
+                lagging += r.throughput_bps < rep < smoothed
+                ratios.append(smoothed / rep)
+        low, high = round(min(ratios), 2), round(max(ratios), 2)
+        out[(burstiness, seed)] = (lagging, len(ratios), low, high)
+    assert out == LAGGING_KEEPS
 
 
 def _powers_of_two(*bitrates):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -53,9 +54,9 @@ class TestRectBandwidth:
             assert download_time(trace, t, 1e6 * 0.5, 0.0) == 0.5
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^high must be a finite number > 0, got 0$"):
             gen_rect_bandwidth(0, 1e6, 10, 10, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total must be a finite number > 0, got 0$"):
             gen_rect_bandwidth(1e6, 1e6, 10, 10, 0)
 
     def test_rejects_an_int_too_large_for_a_float(self):
@@ -117,7 +118,8 @@ class TestVbrLadder:
         assert spec.seed == 9
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        message = "preset must be one of ['sony-like', 'terminator-like'], got 'mystery'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ladder_preset("mystery")
 
     @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ two traces: the README rect trace, and the benchmark's two-state Markov
 outage trace, drawn from the ladder's seed as the dense_trace workload does.
 For each case it pins how the three policies rank by number of switches, by
 switch-degree STD and by total stall, whether the ranking favours AVG-N or
-not. Changing a pinned ranking needs a CHANGES.md line that says why.
+not. Changing a pinned ranking needs a CHANGES.md line that says why. A last
+test pins how much more the pseudocode uptrend gate switches on the README
+scenario.
 """
 
 import functools
@@ -16,7 +18,7 @@ import functools
 from tests_support import load_perfbench
 
 from vbrsim import ClientConfig, compute_stats, gen_rect_bandwidth, gen_vbr_ladder
-from vbrsim import ladder_preset, run_session
+from vbrsim import ladder_preset, run_session, warmup_segments
 
 POLICIES = {
     "ITB": ClientConfig(policy="itb"),
@@ -147,3 +149,26 @@ PINNED = {
 
 def test_policy_rankings_on_the_grid_are_pinned():
     assert _orderings() == PINNED
+
+
+def test_the_pseudocode_gate_switches_more_on_the_quick_start_inputs():
+    # README's Design notes call the pseudocode uptrend gate measurably more
+    # oscillatory: AVG-10, AVG-30 and AVG-50's number of switches and
+    # switch-degree STD (to 3 places) with --warmup auto, under each gate
+    manifest = gen_vbr_ladder(ladder_preset("sony-like"))
+    rect = gen_rect_bandwidth(2500e3, 500e3, 120.0, 60.0, 600.0)
+    out = {}
+    for gate in ("pseudocode", "prose"):
+        logs = [
+            run_session(manifest, rect, ClientConfig(window_n=n, uptrend_gate=gate))
+            for n in (10, 30, 50)
+        ]
+        stats = [compute_stats(log, warmup_exclude=warmup_segments(log)) for log in logs]
+        out[gate] = (
+            tuple(s.num_switches for s in stats),
+            tuple(round(s.std_switch_degrees, 3) for s in stats),
+        )
+    assert out == {
+        "pseudocode": ((37, 35, 35), (0.343, 0.335, 0.335)),
+        "prose": ((20, 21, 20), (0.261, 0.267, 0.261)),
+    }
