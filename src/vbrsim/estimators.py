@@ -8,20 +8,19 @@ Three pieces of per-session state evolve as segments arrive:
 * per-version instant bitrates for the current segment index: the measured
   value for the version actually received, and values projected onto every
   other version through the QP model;
-* per-version representative bitrates: the mean of the last N per-segment
-  bitrates of each version, computed from the window when read.
+* per-version representative bitrates: the mean of one version's column in
+  a window of the last N rows of those bitrates, computed when read.
 
-During warm-up (fewer than N segments seen) the window holds everything seen
-so far, so the representative bitrate is the mean of all of it.
+During warm-up (fewer than N segments seen) the window holds every row seen
+so far, so the representative bitrate is the mean of all of them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .model import ClientConfig
-
-_append = deque.append
 
 
 def estimate_cross_version_bitrate(
@@ -40,7 +39,8 @@ class EstimatorState:
     """Single-writer estimator state for one streaming session.
 
     ``qps`` holds each version's QP (index 0 = version 1); the window N, theta
-    and delta come from ``cfg``. All are fixed for the session.
+    and delta come from ``cfg``. All are fixed for the session. One window
+    keeps the last N rows; each version's bitrates are a column of it.
     """
 
     def __init__(self, qps, cfg: ClientConfig):
@@ -49,7 +49,8 @@ class EstimatorState:
         self.delta = cfg.delta
         # throughput estimate for the next segment, or None before any sample
         self.smoothed_throughput = None
-        self._windows = [deque(maxlen=cfg.window_n) for _ in qps]
+        self._rows = deque(maxlen=cfg.window_n)
+        self._columns = [itemgetter(k) for k in range(len(qps))]
         # per received version, the QP model's factor onto every version:
         # theta * b * gain is the projection, bit for bit
         self._gains = [
@@ -60,9 +61,9 @@ class EstimatorState:
         self.latest_bitrates = ()
 
     def rep_bitrate(self, version: int) -> float:
-        """Representative bitrate of ``version``: the mean of its window."""
-        window = self._windows[version - 1]
-        return sum(window) / len(window)
+        """Representative bitrate of ``version``: the mean of its column."""
+        rows = self._rows
+        return sum(map(self._columns[version - 1], rows)) / len(rows)
 
     def update_smoothed_throughput(self, t_instant: float) -> None:
         """Fold one instant throughput sample into the smoothed estimate."""
@@ -79,12 +80,11 @@ class EstimatorState:
 
         ``b_actual`` is the measured bitrate of that segment; every other
         version's bitrate for the same index is projected through the QP
-        model. Each value enters its version's window, dropping the oldest
-        once the window holds N.
+        model. The row enters the window, dropping the oldest once the window
+        holds N, and becomes ``latest_bitrates``.
         """
         scaled = self.theta * b_actual
         row = [scaled * gain for gain in self._gains[received_version - 1]]
         row[received_version - 1] = b_actual
-        # deque.append returns None, so any() runs it on every window
-        any(map(_append, self._windows, row))
-        self.latest_bitrates = tuple(row)
+        self.latest_bitrates = row = tuple(row)
+        self._rows.append(row)

@@ -79,7 +79,7 @@ def avg_decide(view: ClientView, est: EstimatorState, cfg: ClientConfig) -> Deci
     if buffer > cfg.beta_max:
         nxt = current
         if current < est.num_versions:
-            # only the gated version's window is summed: the next-higher
+            # only the gated version's column is summed: the next-higher
             # version under "prose", the current one under "pseudocode"
             gated = current + 1 if cfg.uptrend_gate == "prose" else current
             if est.rep_bitrate(gated) < t_est:

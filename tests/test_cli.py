@@ -1053,6 +1053,30 @@ def test_run_refuses_a_projected_bitrate_at_session_start(
     assert stderr == f"error: {manifest}, {trace}: {message}\n"
 
 
+def test_a_refused_later_session_keeps_the_earlier_sessions_files(tmp_path):
+    # 50 of version 2's 5e306 bit/s sum to inf, 2 do not: avg:2 runs and
+    # writes its files, then avg:50 is refused at its session start
+    manifest, trace, out = tmp_path / "m.json", tmp_path / "t.csv", tmp_path / "out"
+    versions = [
+        {"index": k, "qp": qp, "segment_sizes": [size] * 100}
+        for k, qp, size in ((1, 30, 1e6), (2, 24, 5e306))
+    ]
+    manifest.write_text(json.dumps({
+        "title": "t", "segment_duration_s": 1.0, "size_unit": "bits", "versions": versions,
+    }))
+    trace.write_text("time_s,bandwidth_kbps\n0,1e6\n")
+    argv = [
+        "run", "--manifest", str(manifest), "--bandwidth", str(trace), "--out", str(out),
+        "--policy", "avg:2,avg:50", "--theta", "1.0", "--beta-min", "1", "--beta-max", "1000",
+    ]
+    assert call_main(argv) == (
+        2, f"error: {manifest}, {trace}: window_n 50 sums 50 bitrates of up to 5e+306 to inf\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"avg-2.{suffix}" for suffix in ("cdf.csv", "csv", "jsonl", "stats.json", "stats.txt")
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, trace_rows, extra, message",
     [

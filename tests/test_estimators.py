@@ -156,7 +156,7 @@ class TestIngest:
     def test_incremental_matches_brute_force_per_step(self):
         rng = random.Random(33)
         for _ in range(100):
-            window_n = rng.choice([1, 2, 3, 10, 30])
+            window_n = rng.choice([1, 2, 3, 10, 30, 50])
             est = EstimatorState(QPS6, ClientConfig(window_n=window_n))
             histories = [[] for _ in range(6)]
             for _ in range(rng.randint(1, 80)):
@@ -173,7 +173,7 @@ class TestIngest:
                         )
                 for k in range(6):
                     expected = brute_force_rep(histories[k], window_n)
-                    assert est.rep_bitrate(k + 1) == pytest.approx(expected, rel=1e-9)
+                    assert est.rep_bitrate(k + 1) == expected
 
 
 class TestConstruction:
