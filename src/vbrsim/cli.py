@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -155,6 +156,8 @@ def cmd_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     warmup = _warmup(args.warmup)
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.log):
+        raise ValueError(f"{args.log}: --out must not be the --log file, got {args.out}")
     log = engine.load_log_jsonl(args.log)
     stats = _session_stats(log, warmup, args.log)
     if args.out:
@@ -163,11 +166,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vbrsim", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="simulate a streaming session")
+def _declare_run(run) -> None:
     run.add_argument("--manifest", required=True, help="manifest JSON file")
     run.add_argument("--bandwidth", required=True, help="bandwidth trace CSV file")
     run.add_argument(
@@ -190,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run)
 
-    gen = sub.add_parser("gen", help="generate synthetic inputs")
+
+def _declare_gen(gen) -> None:
+    gen.set_defaults(func=cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
 
     gen_bw = gen_sub.add_parser("bandwidth", help="generate a bandwidth trace")
@@ -203,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rect: HIGH_KBPS LOW_KBPS PERIOD_HIGH_S PERIOD_LOW_S TOTAL_S",
     )
     gen_bw.add_argument("--out", required=True, help="output CSV file")
-    gen_bw.set_defaults(func=cmd_gen)
 
     gen_ladder = gen_sub.add_parser("ladder", help="generate a VBR version ladder")
     gen_ladder.add_argument(
@@ -213,20 +213,37 @@ def build_parser() -> argparse.ArgumentParser:
     gen_ladder.add_argument("--seed", type=int, default=0)
     gen_ladder.add_argument("--burstiness", type=float, default=0.3)
     gen_ladder.add_argument("--out", required=True, help="output JSON file")
-    gen_ladder.set_defaults(func=cmd_gen)
 
-    stats = sub.add_parser("stats", help="recompute stats from a session log")
+
+def _declare_stats(stats) -> None:
     stats.add_argument("--log", required=True, help="session log (JSONL)")
     stats.add_argument("--warmup", default="0", help="segments to exclude, or 'auto'")
     stats.add_argument("--out", help="optional stats JSON output path")
     stats.set_defaults(func=cmd_stats)
 
+
+_SUBCOMMANDS = {  # each one's help and the function that declares its arguments
+    "run": ("simulate a streaming session", _declare_run),
+    "gen": ("generate synthetic inputs", _declare_gen),
+    "stats": ("recompute stats from a session log", _declare_stats),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; when ``command`` names a subcommand, the others are declared
+    empty, which leaves usage and errors as they are and costs less to build."""
+    parser = argparse.ArgumentParser(prog="vbrsim", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, declare) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command not in _SUBCOMMANDS or command == name:
+            declare(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

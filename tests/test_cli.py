@@ -1,6 +1,9 @@
+import argparse
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -15,7 +18,7 @@ import pytest
 from tests_support import call_main, readme_inputs
 
 import vbrsim
-from vbrsim.cli import main
+from vbrsim.cli import build_parser, main
 from vbrsim.engine import load_log_jsonl
 from vbrsim.metrics import CDF_MAX_POINTS
 from vbrsim.model import ClientConfig, load_manifest, load_trace
@@ -53,8 +56,8 @@ def _refused(argv, *named):
 
 @pytest.mark.parametrize("command", ["run", "stats"])
 def test_python_m_entry_point_exits_2_as_main_does(inputs, tmp_path, command):
-    # the one test that starts the entry point, whose sys.exit(main()) sets the
-    # exit code; every other refusal runs main in process through _refused
+    # one of the two tests that start the entry point, whose sys.exit(main())
+    # sets the exit code; every other refusal runs main in process through _refused
     _, trace = inputs
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -67,6 +70,68 @@ def test_python_m_entry_point_exits_2_as_main_does(inputs, tmp_path, command):
         [sys.executable, "-m", "vbrsim.cli", *argv], capture_output=True, text=True, env=env
     )
     assert (proc.returncode, proc.stderr) == (2, _refused(argv, str(bad)))
+
+
+def test_python_m_entry_point_reads_its_arguments_from_sys_argv(run_logs, tmp_path, capsys):
+    # main(None) takes sys.argv[1:], whose first token names the subcommand
+    # that it declares
+    log = tmp_path / "avg-30.jsonl"
+    log.write_text(run_logs["avg-30.jsonl"])
+    argv = ["stats", "--log", str(log), "--warmup", "auto"]
+    assert main(argv) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(vbrsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbrsim.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+# argv lists that argparse ends: help, usage errors and option types
+_PARSER_EXITS = {
+    "no-args": [],
+    "help": ["-h"],
+    "run-help": ["run", "-h"],
+    "gen-help": ["gen", "-h"],
+    "gen-ladder-help": ["gen", "ladder", "-h"],
+    "gen-bandwidth-help": ["gen", "bandwidth", "-h"],
+    "stats-help": ["stats", "-h"],
+    "unknown-command": ["bogus", "--log", "x"],
+    "run-no-out": ["run", "--manifest", "m.json", "--bandwidth", "t.csv"],
+    "gen-no-kind": ["gen"],
+    "gen-unknown-kind": ["gen", "bogus"],
+    "gen-bandwidth-no-out": ["gen", "bandwidth", "rect", "1", "2", "3", "4", "5"],
+    "gen-ladder-no-preset": ["gen", "ladder", "--out", "m.json"],
+    "stats-no-log": ["stats", "--warmup", "auto"],
+    "run-unknown-option": ["run", "--manifest", "m", "--bandwidth", "t", "--out", "o", "--bogus"],
+    "stats-unknown-option": ["stats", "--log", "x", "--bogus"],
+    "stats-extra-positional": ["stats", "--log", "x", "extra"],
+    "run-beta-min-not-float": [
+        "run", "--manifest", "m", "--bandwidth", "t", "--out", "o", "--beta-min", "abc",
+    ],
+}
+
+
+def _parser_exit(call, argv):
+    """The SystemExit code, stdout and stderr of ``call(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSER_EXITS.values(), ids=_PARSER_EXITS)
+def test_main_exits_as_the_parser_with_every_subcommand_declared(argv, monkeypatch):
+    # main declares only the subcommand named by argv[0], which neither its
+    # output nor its exit code may show
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parser_exit(main, argv) == _parser_exit(build_parser().parse_args, argv)
+
+
+def test_a_named_subcommand_leaves_the_others_undeclared():
+    assert build_parser("stats").parse_args(["run"]) == argparse.Namespace(command="run")
+    with pytest.raises(SystemExit):  # run's required options are declared
+        build_parser().parse_args(["run"])
 
 
 class TestGen:
@@ -268,6 +333,27 @@ def test_non_integer_warmup_names_the_option(inputs, tmp_path, monkeypatch, comm
     for warmup in ("abc", "-1"):
         message = f"--warmup must be an integer >= 0 or 'auto', got {warmup!r}"
         _refused([*args, *out, "--warmup", warmup], message)
+
+
+@pytest.mark.parametrize("spelling", ["same-path", "dot-dot", "symlink", "hard-link"])
+def test_stats_refuses_an_out_that_is_the_log(run_logs, tmp_path, spelling):
+    # writing the stats over the log would leave a file that stats refuses
+    log = tmp_path / "avg-30.jsonl"
+    log.write_text(run_logs["avg-30.jsonl"])
+    (tmp_path / "d").mkdir()
+    out = {
+        "same-path": log,
+        "dot-dot": tmp_path / "d" / ".." / log.name,
+        "symlink": tmp_path / "symlink.jsonl",
+        "hard-link": tmp_path / "hard-link.jsonl",
+    }[spelling]
+    if spelling == "symlink":
+        out.symlink_to(log)
+    elif spelling == "hard-link":
+        out.hardlink_to(log)
+    code, err = call_main(["stats", "--log", str(log), "--out", str(out)])
+    assert (code, err) == (2, f"error: {log}: --out must not be the --log file, got {out}\n")
+    assert log.read_text() == run_logs["avg-30.jsonl"]
 
 
 # a value other than ClientConfig's default for each client option of run

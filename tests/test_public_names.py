@@ -2,7 +2,7 @@
 every top-level import in vbrsim and in the tests is read by its module, no
 vbrsim module reads a private attribute of anything but ``self``, the policies
 and estimators raise nothing, only ``model.check`` renders a rule's wording, and
-the CLI tests start a process in one test only."""
+the CLI tests start a process only in the two entry-point tests."""
 
 import ast
 from pathlib import Path
@@ -106,7 +106,10 @@ def test_cli_tests_start_a_process_only_in_the_entry_point_test():
         for call in ast.walk(node)
         if isinstance(call, ast.Call) and ast.unparse(call.func).startswith("subprocess.")
     ]
-    assert starts == ["test_python_m_entry_point_exits_2_as_main_does"]
+    assert starts == [
+        "test_python_m_entry_point_exits_2_as_main_does",
+        "test_python_m_entry_point_reads_its_arguments_from_sys_argv",
+    ]
 
 
 def test_policies_and_estimators_raise_nothing():
