@@ -129,9 +129,8 @@ def test_main_exits_as_the_parser_with_every_subcommand_declared(argv, monkeypat
 
 
 def test_a_named_subcommand_leaves_the_others_undeclared():
+    # run's required options are not declared, so a bare run parses
     assert build_parser("stats").parse_args(["run"]) == argparse.Namespace(command="run")
-    with pytest.raises(SystemExit):  # run's required options are declared
-        build_parser().parse_args(["run"])
 
 
 class TestGen:
