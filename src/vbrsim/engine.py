@@ -66,28 +66,28 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) 
     at the trace's bandwidth, integrated exactly across pieces. The returned
     duration includes the RTT.
 
-    Each piece costs one division and no builtin call; the ``if`` below keeps
-    what ``max(remaining, 0.0)`` returns, ``-0.0`` and NaN included.
+    Each piece costs one division, one exit test and no builtin call. Before
+    time 0, which ``run_session`` never passes, the first piece applies. The
+    ``if`` below keeps what ``max(remaining, 0.0)`` returns, ``-0.0`` and NaN
+    included. It fires when ``piece_end - t`` and ``remaining / bw`` round up to
+    one value and ``t`` plus it rounds past ``piece_end``, where the download ends.
     """
     t = start + rtt
-    starts = trace.starts
+    ends = trace.ends
     breakpoints = trace.breakpoints
-    last = len(starts) - 1
-    piece = bisect_right(starts, t) - 1
+    piece = bisect_right(ends, t)
     remaining = size
     while True:
         bw = breakpoints[piece][1]
         finish = t + remaining / bw
-        if piece == last:
-            return finish - start
-        piece += 1
-        piece_end = starts[piece]
+        piece_end = ends[piece]
         if finish <= piece_end:
             return finish - start
         remaining -= bw * (piece_end - t)
         if remaining < 0.0:
             remaining = 0.0
         t = piece_end
+        piece += 1
 
 
 def run_session(

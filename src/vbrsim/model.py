@@ -171,13 +171,13 @@ class BandwidthTrace:
     """Piecewise-constant available bandwidth.
 
     ``breakpoints`` is a sequence of (start_time_s, bandwidth_bps) pairs with
-    strictly increasing start times beginning at 0. The last piece extends
-    forever, so a session can always finish. Times and bandwidths are stored
-    as floats, and ``starts`` holds the start times alone, for lookups.
+    strictly increasing start times beginning at 0. Times and bandwidths are
+    stored as floats. ``ends`` holds each piece's end, for lookups: the last
+    piece's is ``inf``, as it extends forever so a session can always finish.
     """
 
     breakpoints: tuple
-    starts: tuple = field(init=False, repr=False, compare=False)
+    ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -192,7 +192,7 @@ class BandwidthTrace:
             i = next(i for i in range(1, len(times)) if not times[i - 1] < times[i])
             raise ValueError(f"breakpoint {i}: time must be > {times[i - 1]!r}, got {times[i]!r}")
         starts = tuple(map(float, times))
-        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", starts[1:] + (math.inf,))
         object.__setattr__(self, "breakpoints", tuple(zip(starts, map(float, bandwidths))))
 
 

@@ -1,5 +1,7 @@
+import ast
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -103,13 +105,33 @@ class TestDownloadTime:
             assert len(overlaps) >= 100
             assert sum(bw * dt for bw, dt in overlaps) == pytest.approx(size, rel=1e-9)
 
+    def test_rounding_tie_clamps_bits_left_at_0(self):
+        # start is 33.5 ulps of piece_end, so piece_end - start rounds up on a
+        # tie; size / bw rounds up to that same value, and start plus it ties
+        # past piece_end, yet bw * (piece_end - start) exceeds size
+        bw, piece_end = 1.9493954730932437, 2.0225940774335043
+        start, size = 1.4876988529977098e-14, 3.94283573845405
+        assert start + size / bw > piece_end and bw * (piece_end - start) > size
+        trace = BandwidthTrace(((0.0, bw), (piece_end, 1.0)))
+        assert download_time(trace, start, size, 0.0) == piece_end - start == 2.0225940774334896
+        # unclamped, the negative bits left would end the download early
+        assert piece_end + (size - bw * (piece_end - start)) / 1.0 - start == 2.0225940774334887
+
+    def test_walk_has_one_exit_test_and_no_call_per_piece(self):
+        tree = ast.parse(inspect.getsource(download_time))
+        (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+        nodes = list(ast.walk(loop))
+        assert [ast.unparse(node) for node in nodes if isinstance(node, ast.Call)] == []
+        assert sum(isinstance(node, ast.Return) for node in nodes) == 1
+
     def test_bit_for_bit_equal_to_the_max_loop(self):
         # the piece loop as it was written with max() and a len() per piece,
-        # kept verbatim as the oracle: every float operation of download_time
-        # must be the same, in the same order, so every value is the same bits
+        # kept verbatim as the oracle but for reading each trace's starts from
+        # its breakpoints: every float operation of download_time must be the
+        # same, in the same order, so every value is the same bits
         def oracle(trace, start, size, rtt):
             t = start + rtt
-            starts = trace.starts
+            starts = starts_of[id(trace)]
             breakpoints = trace.breakpoints
             piece = bisect_right(starts, t) - 1
             remaining = size
@@ -133,9 +155,10 @@ class TestDownloadTime:
         # the dense_trace workload's 20 000-piece Markov trace: starts anywhere,
         # on a breakpoint, and past the last one
         dense = load_perfbench("workloads").markov_trace(0)
-        end = dense.starts[-1]
+        dense_starts = [t for t, _ in dense.breakpoints]
+        end = dense_starts[-1]
         for _ in range(40_000):
-            start = rng.choice((rng.uniform(0.0, end + 50.0), rng.choice(dense.starts)))
+            start = rng.choice((rng.uniform(0.0, end + 50.0), rng.choice(dense_starts)))
             calls.append((dense, start, any_size(), rng.choice(rtts)))
         for _ in range(400):
             # random traces of 1 to 40 pieces, with integer or float starts
@@ -145,7 +168,8 @@ class TestDownloadTime:
                 breakpoints.append((t, rng.lognormvariate(13.0, 1.5)))
                 t += rng.randint(1, 20) if integral else rng.expovariate(0.2)
             trace = BandwidthTrace(tuple(breakpoints))
-            starts, bws = trace.starts, [bw for _, bw in trace.breakpoints]
+            starts = [t for t, _ in trace.breakpoints]
+            bws = [bw for _, bw in trace.breakpoints]
             for _ in range(75):
                 start = rng.choice((rng.uniform(0.0, t + 5.0), rng.choice(starts)))
                 calls.append((trace, start, any_size(), rng.choice(rtts)))
@@ -171,8 +195,24 @@ class TestDownloadTime:
             last = rng.randrange(first, 19)
             size = sum(trace.breakpoints[k][1] * 3 for k in range(first, last + 1))
             calls.append((trace, first * 3.0, float(size), 0.0))
+        # rounding ties on which the clamp fires: start is a half-ulp multiple
+        # of piece_end, so piece_end - start and start plus it both round on a
+        # tie; size / bw rounds up to piece_end - start, and start plus it
+        # rounds past piece_end, yet bw * (piece_end - start) exceeds size
+        ties = 0
+        while ties < 400:
+            piece_end = rng.uniform(0.5, 4.0) * 2.0 ** rng.randint(-20, 20)
+            start = (rng.randrange(100) + 0.5) * math.ulp(piece_end)
+            bw = rng.lognormvariate(0.0, 1.0) * 2.0 ** rng.randint(-20, 20)
+            size = math.nextafter(bw * (piece_end - start), 0.0)
+            if start + size / bw > piece_end and bw * (piece_end - start) > size:
+                trace = BandwidthTrace(((0.0, bw), (piece_end, rng.lognormvariate(0.0, 1.0))))
+                calls.append((trace, start, size, 0.0))
+                ties += 1
 
         assert len(calls) >= 100_000
+        traces = {id(call[0]): call[0] for call in calls}
+        starts_of = {key: [t for t, _ in trace.breakpoints] for key, trace in traces.items()}
         wrong = [
             call
             for call in calls

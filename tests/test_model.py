@@ -14,6 +14,7 @@ from vbrsim.model import (
     BandwidthTrace,
     ClientConfig,
     VideoManifest,
+    _undecodable_line,
     load_manifest,
     load_trace,
     manifest_from_dict,
@@ -111,10 +112,14 @@ class TestBandwidthAt:
     def test_last_piece_extends_forever(self):
         assert download_time(self.trace, 250, 0.5e6 * 0.5, 0.0) == 0.5
 
-    def test_starts_built_once_and_not_part_of_the_value(self):
+    def test_before_time_0_the_first_piece_applies(self):
+        # run_session never passes a time before 0
+        assert download_time(self.trace, -1.0, 2.5e6 * 0.5, 0.0) == 0.5
+
+    def test_ends_built_once_and_not_part_of_the_value(self):
         trace = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
-        assert trace.starts == (0.0, 100.0)
-        assert trace.starts is trace.starts
+        assert trace.ends == (100.0, math.inf)
+        assert trace.ends is trace.ends
         twin = BandwidthTrace(((0, 2.5e6), (100, 0.5e6)))
         assert trace == twin and hash(trace) == hash(twin) and repr(trace) == repr(twin)
 
@@ -147,7 +152,7 @@ class TestBandwidthAt:
         trace = BandwidthTrace([[0, 2_500_000], [100, 5e5]])
         assert trace.breakpoints == ((0.0, 2.5e6), (100.0, 5e5)) == tuple(trace.breakpoints)
         assert {type(v) for pair in trace.breakpoints for v in pair} == {float}
-        assert type(trace.breakpoints[0]) is tuple and type(trace.starts[0]) is float
+        assert type(trace.breakpoints[0]) is tuple and type(trace.ends[0]) is float
 
 
 # each ClientConfig that is refused, and its full message
@@ -237,6 +242,15 @@ class TestFileFormats:
         message = str(info.value)
         assert message.startswith(f"{path}: line 5: 'utf-8' codec can't decode byte 0xc3")
         assert "in position 10001:" in message
+
+    def test_undecodable_line_of_a_mended_file_is_the_first_error(self, tmp_path):
+        # the file became valid UTF-8 after the failed read
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a\nx\xc3(\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            path.read_text(encoding="utf-8")
+        path.write_text("a\nx(\n", encoding="utf-8")
+        assert _undecodable_line(path, info.value) == str(info.value)
 
     def test_manifest_round_trip(self, tmp_path):
         m = make_manifest([(407540, 500000, 380000), (4000000, 4400000, 3900000)])
