@@ -66,22 +66,22 @@ def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) 
     at the trace's bandwidth, integrated exactly across pieces. The returned
     duration includes the RTT.
 
-    Each piece costs one division, one exit test and no builtin call. Before
-    time 0, which ``run_session`` never passes, the first piece applies. The
-    ``if`` below keeps what ``max(remaining, 0.0)`` returns, ``-0.0`` and NaN
-    included. It fires when ``piece_end - t`` and ``remaining / bw`` round up to
-    one value and ``t`` plus it rounds past ``piece_end``, where the download ends.
+    Each piece costs one division, one exit test and no builtin call. Before time 0
+    the first piece applies, at an inf or NaN ``t`` the last, and a NaN ``finish``
+    ends the walk. The ``if`` below keeps what ``max(remaining, 0.0)`` returns,
+    ``-0.0`` and NaN included. It fires when ``piece_end - t`` and ``remaining / bw``
+    round up to one value and ``t`` plus it rounds past ``piece_end``.
     """
     t = start + rtt
     ends = trace.ends
     breakpoints = trace.breakpoints
-    piece = bisect_right(ends, t)
+    piece = bisect_right(ends, t, 0, len(ends) - 1)
     remaining = size
     while True:
         bw = breakpoints[piece][1]
         finish = t + remaining / bw
         piece_end = ends[piece]
-        if finish <= piece_end:
+        if not finish > piece_end:
             return finish - start
         remaining -= bw * (piece_end - t)
         if remaining < 0.0:

@@ -1194,6 +1194,19 @@ def test_run_rejects_a_value_that_underflows_to_zero(
     assert message in stderr
 
 
+def test_run_refuses_a_download_requested_past_the_float_range(inputs, tmp_path):
+    # segment 0 completes after 1e308 s of RTT; segment 1's first bit is due
+    # at inf, where the trace's last piece applies, so its throughput is 0.0
+    manifest, trace, stderr = _refused_run(
+        inputs, tmp_path, lambda m: None, None, ["--rtt", "1e308"]
+    )
+    assert stderr == (
+        f"error: {manifest}, {trace}: segment 1: a download of size_bits 384579 "
+        "requested at request_time_s 1e+308 has throughput 0.0, not a finite number > 0, "
+        "over inf s\n"
+    )
+
+
 def test_run_rejects_an_average_bitrate_past_the_float_range(inputs, tmp_path):
     # each 1e308-bit segment's bitrate is finite, but their exact sum is not;
     # theta 0.04 keeps every projection of it finite, and a one-segment window

@@ -105,18 +105,6 @@ class TestDownloadTime:
             assert len(overlaps) >= 100
             assert sum(bw * dt for bw, dt in overlaps) == pytest.approx(size, rel=1e-9)
 
-    def test_rounding_tie_clamps_bits_left_at_0(self):
-        # start is 33.5 ulps of piece_end, so piece_end - start rounds up on a
-        # tie; size / bw rounds up to that same value, and start plus it ties
-        # past piece_end, yet bw * (piece_end - start) exceeds size
-        bw, piece_end = 1.9493954730932437, 2.0225940774335043
-        start, size = 1.4876988529977098e-14, 3.94283573845405
-        assert start + size / bw > piece_end and bw * (piece_end - start) > size
-        trace = BandwidthTrace(((0.0, bw), (piece_end, 1.0)))
-        assert download_time(trace, start, size, 0.0) == piece_end - start == 2.0225940774334896
-        # unclamped, the negative bits left would end the download early
-        assert piece_end + (size - bw * (piece_end - start)) / 1.0 - start == 2.0225940774334887
-
     def test_walk_has_one_exit_test_and_no_call_per_piece(self):
         tree = ast.parse(inspect.getsource(download_time))
         (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
@@ -195,10 +183,23 @@ class TestDownloadTime:
             last = rng.randrange(first, 19)
             size = sum(trace.breakpoints[k][1] * 3 for k in range(first, last + 1))
             calls.append((trace, first * 3.0, float(size), 0.0))
+        # past the float range: start + rtt overflows to inf or is NaN, and the
+        # size is inf or NaN; each call reads the last piece at most
+        for trace in (dense, trace):
+            for start, size, rtt in (
+                (1e308, 1.0, 1e308), (math.inf, 1.0, 0.0), (math.nan, 1.0, 0.04),
+                (0.0, math.inf, 0.0), (1.5, math.nan, 0.0),
+            ):
+                calls.append((trace, start, size, rtt))
         # rounding ties on which the clamp fires: start is a half-ulp multiple
         # of piece_end, so piece_end - start and start plus it both round on a
         # tie; size / bw rounds up to piece_end - start, and start plus it
-        # rounds past piece_end, yet bw * (piece_end - start) exceeds size
+        # rounds past piece_end, yet bw * (piece_end - start) exceeds size. In
+        # the first, start is 33.5 ulps of piece_end, and the download ends at
+        # piece_end: 2.0225940774334896 s, where unclamped it would end early
+        bw, piece_end = 1.9493954730932437, 2.0225940774335043
+        trace = BandwidthTrace(((0.0, bw), (piece_end, 1.0)))
+        calls.append((trace, 1.4876988529977098e-14, 3.94283573845405, 0.0))
         ties = 0
         while ties < 400:
             piece_end = rng.uniform(0.5, 4.0) * 2.0 ** rng.randint(-20, 20)
