@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -244,6 +245,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # a command allocates a few small tuples per segment and leaves no cycles
+    # that grow with the session, so the cyclic collector pauses for it and
+    # returns to the caller's setting after
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValueError as exc:
@@ -252,6 +258,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

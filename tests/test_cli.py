@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -392,6 +393,88 @@ def test_run_holds_one_session_log_at_a_time(inputs, tmp_path, monkeypatch):
     args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
     assert call_main([*args, "--policy", "itb,avg:10,avg:30", "--out", str(tmp_path)]) == (0, "")
     assert len(logs) == 3
+
+
+@pytest.fixture
+def gc_enabled():
+    """The cyclic collector on for the test, and as the test found it after."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        pytest.param(lambda tmp: [], 0, id="exit-0"),
+        pytest.param(lambda tmp: ["--rtt", "nan"], 2, id="exit-2"),
+        pytest.param(lambda tmp: ["--manifest", str(tmp / "nope.json")], 3, id="exit-3"),
+    ],
+)
+def test_main_restores_the_collector_on_every_exit(inputs, tmp_path, gc_enabled, extra, code):
+    manifest, trace = inputs
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    assert call_main([*args, "--out", str(tmp_path / "out"), *extra(tmp_path)])[0] == code
+    assert gc.isenabled()
+
+
+def test_main_restores_the_collector_when_an_error_escapes(
+    inputs, tmp_path, gc_enabled, monkeypatch
+):
+    def run_session(*args, **kwargs):
+        raise RuntimeError("escapes main")
+
+    monkeypatch.setattr(vbrsim.engine, "run_session", run_session)
+    manifest, trace = inputs
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    with pytest.raises(RuntimeError, match="^escapes main$"):
+        call_main([*args, "--out", str(tmp_path / "out")])
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_disabled_collector_disabled(inputs, tmp_path, gc_enabled):
+    manifest, trace = inputs
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    gc.disable()
+    assert call_main([*args, "--out", str(tmp_path / "out")]) == (0, "")
+    assert not gc.isenabled()
+
+
+def test_the_collector_is_paused_while_a_session_runs(inputs, tmp_path, gc_enabled, monkeypatch):
+    seen = []
+
+    def run_session(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    real = vbrsim.engine.run_session
+    monkeypatch.setattr(vbrsim.engine, "run_session", run_session)
+    manifest, trace = inputs
+    args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+    assert call_main([*args, "--policy", "itb,avg", "--out", str(tmp_path / "out")]) == (0, "")
+    assert seen == [False, False]
+
+
+def test_run_leaves_the_same_cyclic_garbage_at_any_session_length(inputs, tmp_path, gc_enabled):
+    # pausing the collector is safe only because a command makes no cycles per
+    # segment: what one collection finds after run does not grow with the ladder
+    _, trace = inputs
+    found = {}
+    for segments in (300, 300, 3000):
+        manifest = tmp_path / f"ladder-{segments}.json"
+        ladder = ["gen", "ladder", "--preset", "sony-like", "--segments", str(segments)]
+        assert call_main([*ladder, "--out", str(manifest)]) == (0, "")
+        args = ["run", "--manifest", str(manifest), "--bandwidth", str(trace)]
+        gc.disable()
+        gc.collect()
+        assert call_main([*args, "--out", str(tmp_path / "out")]) == (0, "")
+        found[segments] = gc.collect()
+        gc.enable()
+    assert found[300] == found[3000] > 0
 
 
 def test_readme_quick_start_prints_readme_table(inputs, tmp_path, capsys):

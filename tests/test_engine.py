@@ -285,6 +285,20 @@ class TestRunSessionSteadyState:
             sum(r.stall_time for r in log.records)
         )
 
+    def test_an_exact_drain_logs_a_stall_of_plus_zero(self, tmp_path):
+        # each 4e6-bit segment takes exactly its 2 s of playback on 2 Mbps, so
+        # segments 1 and 2 drain the buffer to 0.0 with no stall, not -0.0
+        m = VideoManifest("exact", 2.0, (30, 24), ((4e6,) * 3, (8e6,) * 3))
+        log = run_session(m, constant_trace(2e6), ClientConfig(rtt=0.0))
+        assert [(r.version, r.buffer_before_s, r.buffer_after_s) for r in log.records] == [
+            (1, 0.0, 2.0), (1, 2.0, 2.0), (1, 2.0, 2.0)
+        ]
+        assert [math.copysign(1.0, r.stall_time) for r in log.records] == [1.0] * 3
+        save_logs(log, tmp_path / "log.jsonl", tmp_path / "log.csv")
+        text = (tmp_path / "log.jsonl").read_text()
+        assert ['"stall_s": 0.0' in line for line in text.splitlines()[1:]] == [True] * 3
+        assert "-0.0" not in text
+
     def test_buffer_never_negative_never_above_cap(self):
         rng = random.Random(77)
         for _ in range(10):
@@ -352,6 +366,13 @@ class TestRunSessionSteadyState:
         assert len(run_session(m, trace, replace(cfg, window_n=16)).records) == 40
         short = replace(m, segment_sizes=tuple(sizes[:16] for sizes in m.segment_sizes))
         assert len(run_session(short, trace, cfg).records) == 16
+        # a projection upward, theta 1.05 * 2 ** (6 / 6) times a bitrate, is the
+        # largest value that enters a window: 100 of 2.1e306 sum to inf, though
+        # 100 of any actual bitrate, 1e306, would not
+        m = VideoManifest("up", 1.0, (30, 24), ((1e306,) * 100,) * 2)
+        message = "window_n 100 sums 100 bitrates of up to 2.1e+306 to inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_session(m, trace, ClientConfig(window_n=100, policy=policy))
 
     def test_each_versions_bitrate_range_is_taken_once_per_manifest(self):
         # building a manifest takes none; every session on it shares one

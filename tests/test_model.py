@@ -97,7 +97,8 @@ class TestManifestInvariants:
                 make_manifest(duration=bad)
 
 
-class TestBandwidthAt:
+class TestTracePieces:
+    # How a trace is built into pieces, and which piece download_time reads.
     # With no RTT, half a second's worth of bits at bandwidth bw takes exactly
     # 0.5 s when the download starts and ends in a piece of bandwidth bw: this
     # checks download_time's right-continuous piece lookup.
