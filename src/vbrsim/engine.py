@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import policies
 from .estimators import EstimatorState, estimate_cross_version_bitrate
-from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest, text_lines
+from .model import BandwidthTrace, ClientConfig, ClientView, VideoManifest
 from .model import INTEGER, NONNEGATIVE, NUMBER, POSITIVE, QP_MAX, QP_MIN, STRING
 from .model import check, check_each, check_keys, int_range, one_of, segment_size
 
@@ -151,17 +151,9 @@ def run_session(
             # playback runs from the first completion on: the buffer drains by
             # elapsed, and any shortfall, -drained (== elapsed - buffer exactly),
             # is stall
-            if index:
-                drained = buffer - elapsed
-                if drained < 0.0:
-                    stall = -drained
-                    buffer = 0.0
-                else:
-                    stall = 0.0
-                    buffer = drained
-            else:
-                stall = 0.0
-            buffer += duration
+            drained = buffer - elapsed if index else 0.0
+            stall = -drained if drained < 0.0 else 0.0
+            buffer = (drained if drained > 0.0 else 0.0) + duration
 
             # the size rule keeps size / duration finite and > 0, but size / elapsed
             # can round to 0.0 or inf, and is inf if the download takes no time
@@ -327,25 +319,27 @@ def _value_error(path, lineno: int, name: str, value, wording: str) -> ValueErro
     return ValueError(f"{path}: line {lineno}: field {name!r} must be {wording}, got {value!r}")
 
 
-def _json_line(path, lineno: int, line: str):
+def _json_line(path, lineno: int, line: bytes):
     try:
-        return json.loads(line)
+        return json.loads(line.decode())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
 
 
 def _block_values(path, block) -> list:
-    """The JSON values of a block of (line number, line) pairs.
+    """The JSON values of a block of (line number, line bytes) pairs.
 
     One ``json.loads`` parses the whole block. Each line must start an
     object, so that as many values as lines means one value per line; if
-    not, or if the block does not parse, it is parsed line by line, and the
-    first bad line is named.
+    not, or if the block does not decode or parse, it is parsed line by
+    line, and the first bad line is named.
     """
     texts = [line for _, line in block]
-    if all(map(str.startswith, texts, itertools.repeat("{"))):
+    if all(map(bytes.startswith, texts, itertools.repeat(b"{"))):
         try:
-            rows = json.loads("[" + ",".join(texts) + "]")
+            rows = json.loads((b"[" + b",".join(texts) + b"]").decode())
         except (ValueError, RecursionError):
             rows = None
         if rows is not None and len(rows) == len(texts):
@@ -355,29 +349,30 @@ def _block_values(path, block) -> list:
 
 def load_log_jsonl(path) -> SessionLog:
     records = []
-    # the header is line 1 and record i is line i + 2
-    lines = enumerate(text_lines(path), 1)
-    first = next(lines, None)
-    if first is None:
-        raise ValueError(f"{path}: empty log file")
-    header = _json_line(path, *first)
-    check_keys(header, _HEADER_KEYS, f"{path}: header")
-    check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
-    for key, rule in _HEADER_FIELDS:
-        check(header[key], rule, f"{path}: line 1: field {key!r}")
-    try:
-        config = ClientConfig(**header["config"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: header config: {exc}") from exc
-    while block := list(itertools.islice(lines, _BLOCK)):
-        rows = _block_values(path, block)
-        for (lineno, _), row in zip(block, rows):
-            if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
-        # each record is built as the plain tuple it is, as in run_session
-        records.extend(
-            map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))
-        )
+    with open(path, "rb") as fh:
+        # the header is line 1 and record i is line i + 2
+        lines = enumerate(fh, 1)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty log file")
+        header = _json_line(path, *first)
+        check_keys(header, _HEADER_KEYS, f"{path}: header")
+        check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+        for key, rule in _HEADER_FIELDS:
+            check(header[key], rule, f"{path}: line 1: field {key!r}")
+        try:
+            config = ClientConfig(**header["config"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: header config: {exc}") from exc
+        while block := list(itertools.islice(lines, _BLOCK)):
+            rows = _block_values(path, block)
+            for (lineno, _), row in zip(block, rows):
+                if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
+                    check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
+            # each record is built as the plain tuple it is, as in run_session
+            records.extend(
+                map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))
+            )
     if not records:  # run never writes one: the file was cut short
         raise ValueError(f"{path}: log has no records")
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import operator
@@ -260,6 +259,9 @@ class ClientView(NamedTuple):
 #
 # Bandwidth trace (CSV): header "time_s,bandwidth_kbps", one row per
 # breakpoint; kbps means 1000 bit/s.
+#
+# Both are UTF-8 text. The trace is read as bytes, each line decoded as the
+# reader takes it, so a line ends at LF (CRLF too) but not at a lone CR.
 
 
 def check_keys(obj, keys, where: str) -> None:
@@ -304,39 +306,9 @@ def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def text_lines(path, newline=None):
-    """Yield the lines of the text file ``path``.
-
-    An undecodable byte names the file and the line, and its position counts
-    from the start of that line.
-    """
-    with open(path, newline=newline) as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {_undecodable_line(path, exc)}") from exc
-
-
-def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
-    """Name the line of ``path`` that holds the byte ``exc`` failed on.
-
-    ``exc`` counts its position from the start of the chunk the decoder read,
-    so ``path`` is decoded again one line at a time. Lines end at \\n, \\r or
-    \\r\\n, as in text mode.
-    """
-    with open(path, "rb") as fh:
-        lines = itertools.chain.from_iterable(map(bytes.splitlines, fh))
-        for lineno, line in enumerate(lines, 1):
-            try:
-                line.decode(exc.encoding)
-            except UnicodeDecodeError as line_exc:
-                return f"line {lineno}: {line_exc}"
-    return str(exc)  # the file changed since it was read
-
-
 def load_manifest(path) -> VideoManifest:
     path = Path(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
@@ -372,23 +344,26 @@ def save_manifest(manifest: VideoManifest, path) -> None:
 def load_trace(path) -> BandwidthTrace:
     path = Path(path)
     breakpoints = []
-    reader = csv.reader(text_lines(path, newline=""))
-    try:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["time_s", "bandwidth_kbps"]:
-            raise ValueError(f"{path}: expected header 'time_s,bandwidth_kbps', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t, kbps = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            breakpoints.append((t, kbps * 1000.0))
-    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    with open(path, "rb") as fh:
+        reader = csv.reader(map(bytes.decode, fh))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["time_s", "bandwidth_kbps"]:
+                raise ValueError(f"{path}: expected header 'time_s,bandwidth_kbps', got {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    t, kbps = float(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                breakpoints.append((t, kbps * 1000.0))
+        except UnicodeDecodeError as exc:  # the reader has not counted the line
+            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     try:
         return BandwidthTrace(tuple(breakpoints))
     except ValueError as exc:

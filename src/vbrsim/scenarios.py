@@ -101,14 +101,8 @@ def gen_rect_bandwidth(
     high: float, low: float, period_high: float, period_low: float, total: float
 ) -> BandwidthTrace:
     """Alternating high/low piecewise-constant trace, starting high at t=0."""
-    for name, val in (
-        ("high", high),
-        ("low", low),
-        ("period_high", period_high),
-        ("period_low", period_low),
-        ("total", total),
-    ):
-        check(val, POSITIVE, name)
+    names = ("high", "low", "period_high", "period_low", "total")
+    check_each((high, low, period_high, period_low, total), POSITIVE, names.__getitem__)
     if total / (period_high + period_low) > MAX_RECT_BREAKPOINTS / 2:
         raise ValueError(
             f"total {total} s with period_high {period_high} s and period_low {period_low} s"

@@ -621,6 +621,18 @@ class TestStats:
         log = load_log_jsonl(log_path)
         assert log.config.window_n == 10
 
+    def test_crlf_log_gives_the_same_stats(self, run_logs, tmp_path, capsys):
+        # a line ends at LF, so a CR before it is JSON whitespace
+        log_path = tmp_path / "avg-30.jsonl"
+        outputs = []
+        for line_end in (b"\n", b"\r\n"):
+            log_path.write_bytes(run_logs["avg-30.jsonl"].encode().replace(b"\n", line_end))
+            stats_path = tmp_path / f"{len(line_end)}.stats.json"
+            assert main(["stats", "--log", str(log_path), "--out", str(stats_path)]) == 0
+            outputs.append((capsys.readouterr().out, stats_path.read_bytes()))
+        assert b"\r\n" in log_path.read_bytes()
+        assert outputs[0] == outputs[1]
+
 
 def _rename_version_column(records):
     for rec in records:
@@ -638,7 +650,8 @@ def _bad_byte_on_line_101(lines):
     return b"\n".join(lines) + b"\n"
 
 
-# the position counts from the start of line 101
+# the position counts from the start of the line
+_LINE_1 = "line 1: 'utf-8' codec can't decode byte 0xff in position 0"
 _LINE_101 = "line 101: 'utf-8' codec can't decode byte 0xff in position 5"
 
 
@@ -826,7 +839,12 @@ def _huge_index(header, records):
             "total_stall is inf, not a finite float: the stall_s values are too large",
             id="total-stall-overflow",
         ),
-        pytest.param(lambda h, r: _NOT_UTF8, "codec can't decode", id="non-utf8-log"),
+        pytest.param(lambda h, r: _NOT_UTF8, _LINE_1, id="non-utf8-log"),
+        # a lone CR does not end a line, so the header line runs on into the records
+        pytest.param(
+            lambda h, r: _jsonl(h, r).replace("\n", "\r").encode(), "line 1: malformed log (",
+            id="lone-cr-log",
+        ),
         pytest.param(
             lambda h, r: _bad_byte_on_line_101(_jsonl(h, r).splitlines()), _LINE_101,
             id="non-utf8-log-line-101",
@@ -1023,7 +1041,12 @@ _SIZE_RULE = "size must be a finite number > 0 whose bitrate over 2.0 s is finit
             "trace", _set_trace_row("120.0," + "5" * 200_000),
             "line 3: field larger than field limit (131072)", id="oversized-trace-field",
         ),
-        pytest.param("trace", lambda lines: _NOT_UTF8, "codec can't decode", id="non-utf8-trace"),
+        pytest.param("trace", lambda lines: _NOT_UTF8, _LINE_1, id="non-utf8-trace"),
+        # a lone CR does not end a line; the hint after this prefix differs by Python version
+        pytest.param(
+            "trace", lambda lines: "\r".join(lines).encode(),
+            "line 1: new-line character seen in unquoted field", id="lone-cr-trace",
+        ),
         pytest.param(
             "trace", lambda lines: lines.__delitem__(slice(1, None)),
             "trace needs at least one breakpoint", id="header-only-trace",
