@@ -82,11 +82,17 @@ def _warmup(arg: str) -> int | None:
     return warmup
 
 
-def _session_stats(log: engine.SessionLog, warmup: int | None, source: str):
-    """``log``'s statistics after ``warmup`` segments (None: auto); a refusal names ``source``."""
+def _session_stats(log: engine.SessionLog, warmup: int | None):
+    """``log``'s statistics after ``warmup`` segments (None: auto)."""
     exclude = metrics.warmup_segments(log) if warmup is None else warmup
+    return metrics.compute_stats(log, warmup_exclude=exclude)
+
+
+def _named(source: str, call, *args):
+    """``call(*args)``, whose refusal starts with ``source``: the input file or
+    files that it concerns, as the command line gives them."""
     try:
-        return metrics.compute_stats(log, warmup_exclude=exclude)
+        return call(*args)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from exc
 
@@ -98,19 +104,16 @@ def _save_stats(stats: metrics.SessionStats, path) -> None:
 
 
 def cmd_run(args) -> int:
-    manifest = model.load_manifest(args.manifest)
-    trace = model.load_trace(args.bandwidth)
+    manifest = _named(args.manifest, model.load_manifest, args.manifest)
+    trace = _named(args.bandwidth, model.load_trace, args.bandwidth)
     configs = _policy_configs(args)
     warmup = _warmup(args.warmup)
     out_dir = Path(args.out)
     sources = f"{args.manifest}, {args.bandwidth}"
     stats_by_label = {}
     for label, cfg in configs.items():
-        try:
-            log = engine.run_session(manifest, trace, cfg, trace_label=Path(args.bandwidth).stem)
-        except ValueError as exc:
-            raise ValueError(f"{sources}: {exc}") from exc
-        stats = _session_stats(log, warmup, sources)
+        log = _named(sources, engine.run_session, manifest, trace, cfg, Path(args.bandwidth).stem)
+        stats = _named(sources, _session_stats, log, warmup)
         stats_by_label[label] = stats
 
         # made only now, so that a rejected run leaves nothing behind
@@ -159,8 +162,8 @@ def cmd_stats(args) -> int:
     warmup = _warmup(args.warmup)
     if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.log):
         raise ValueError(f"{args.log}: --out must not be the --log file, got {args.out}")
-    log = engine.load_log_jsonl(args.log)
-    stats = _session_stats(log, warmup, args.log)
+    log = _named(args.log, engine.load_log_jsonl, args.log)
+    stats = _named(args.log, _session_stats, log, warmup)
     if args.out:
         _save_stats(stats, args.out)
     sys.stdout.write(metrics.stats_table({args.log: stats}))

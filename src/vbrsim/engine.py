@@ -315,20 +315,20 @@ def save_logs(log: SessionLog, jsonl_path, csv_path) -> None:
             csv_file.write(_csv_lines(block))
 
 
-def _value_error(path, lineno: int, name: str, value, wording: str) -> ValueError:
-    return ValueError(f"{path}: line {lineno}: field {name!r} must be {wording}, got {value!r}")
+def _value_error(lineno: int, name: str, value, wording: str) -> ValueError:
+    return ValueError(f"line {lineno}: field {name!r} must be {wording}, got {value!r}")
 
 
-def _json_line(path, lineno: int, line: bytes):
+def _json_line(lineno: int, line: bytes):
     try:
         return json.loads(line.decode())
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        raise ValueError(f"line {lineno}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
-        raise ValueError(f"{path}: line {lineno}: malformed log ({exc})") from exc
+        raise ValueError(f"line {lineno}: malformed log ({exc})") from exc
 
 
-def _block_values(path, block) -> list:
+def _block_values(block) -> list:
     """The JSON values of a block of (line number, line bytes) pairs.
 
     One ``json.loads`` parses the whole block. Each line must start an
@@ -344,7 +344,7 @@ def _block_values(path, block) -> list:
             rows = None
         if rows is not None and len(rows) == len(texts):
             return rows
-    return [_json_line(path, lineno, line) for lineno, line in block]
+    return [_json_line(lineno, line) for lineno, line in block]
 
 
 def load_log_jsonl(path) -> SessionLog:
@@ -354,27 +354,27 @@ def load_log_jsonl(path) -> SessionLog:
         lines = enumerate(fh, 1)
         first = next(lines, None)
         if first is None:
-            raise ValueError(f"{path}: empty log file")
-        header = _json_line(path, *first)
-        check_keys(header, _HEADER_KEYS, f"{path}: header")
-        check_keys(header["config"], _CONFIG_KEYS, f"{path}: header config")
+            raise ValueError("empty log file")
+        header = _json_line(*first)
+        check_keys(header, _HEADER_KEYS, "header: ")
+        check_keys(header["config"], _CONFIG_KEYS, "header config: ")
         for key, rule in _HEADER_FIELDS:
-            check(header[key], rule, f"{path}: line 1: field {key!r}")
+            check(header[key], rule, f"line 1: field {key!r}")
         try:
             config = ClientConfig(**header["config"])
         except ValueError as exc:
-            raise ValueError(f"{path}: header config: {exc}") from exc
+            raise ValueError(f"header config: {exc}") from exc
         while block := list(itertools.islice(lines, _BLOCK)):
-            rows = _block_values(path, block)
+            rows = _block_values(block)
             for (lineno, _), row in zip(block, rows):
                 if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
-                    check_keys(row, LOG_COLUMNS, f"{path}: line {lineno}")
+                    check_keys(row, LOG_COLUMNS, f"line {lineno}: ")
             # each record is built as the plain tuple it is, as in run_session
             records.extend(
                 map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))
             )
     if not records:  # run never writes one: the file was cut short
-        raise ValueError(f"{path}: log has no records")
+        raise ValueError("log has no records")
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column
     rules = (
         INTEGER, int_range(1, header["num_versions"]), segment_size(header["segment_duration_s"]),
@@ -383,18 +383,18 @@ def load_log_jsonl(path) -> SessionLog:
     )
     columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):
-        check_each(column, rule, lambda i: f"{path}: line {i + 2}: field {name!r}")
+        check_each(column, rule, lambda i: f"line {i + 2}: field {name!r}")
     # the checks that read more than one value
     index, _, _, request, completion = columns[:5]
     if index != tuple(range(len(index))):
         i = next(i for i, value in enumerate(index) if value != i)
-        raise _value_error(path, i + 2, "index", index[i], "the record's position")
+        raise _value_error(i + 2, "index", index[i], "the record's position")
     if not all(map(gt, completion, request)):
         i = next(i for i, (done, req) in enumerate(zip(completion, request)) if not done > req)
-        raise _value_error(path, i + 2, "completion_time_s", completion[i], "> request_time_s")
+        raise _value_error(i + 2, "completion_time_s", completion[i], "> request_time_s")
     if header["playback_start_s"] != completion[0]:
         wording = f"line 2's completion_time_s {completion[0]!r}"
-        raise _value_error(path, 1, "playback_start_s", header["playback_start_s"], wording)
+        raise _value_error(1, "playback_start_s", header["playback_start_s"], wording)
     return SessionLog(
         records=tuple(records),
         config=config,

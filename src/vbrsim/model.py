@@ -15,7 +15,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import NamedTuple
 
 
@@ -265,55 +264,52 @@ class ClientView(NamedTuple):
 
 
 def check_keys(obj, keys, where: str) -> None:
-    """Raise ValueError naming the first missing or unknown key of ``obj``."""
+    """Raise ValueError naming the first missing or unknown key of ``obj``;
+    the message starts with ``where``, the object's place in its file."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{where}expected a JSON object, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
-            raise ValueError(f"{where}: missing field {key!r}")
+            raise ValueError(f"{where}missing field {key!r}")
     for key in obj:
         if key not in keys:
-            raise ValueError(f"{where}: unknown field {key!r}")
+            raise ValueError(f"{where}unknown field {key!r}")
 
 
-def manifest_from_dict(data: dict, where: str = "manifest") -> VideoManifest:
-    check_keys(data, ("title", "segment_duration_s", "size_unit", "versions"), where)
+def manifest_from_dict(data: dict) -> VideoManifest:
+    check_keys(data, ("title", "segment_duration_s", "size_unit", "versions"), "")
     unit = data["size_unit"]
-    check(unit, one_of(("bits", "bytes")), f"{where}: size_unit")
+    check(unit, one_of(("bits", "bytes")), "size_unit")
     raw_versions = data["versions"]
     if not isinstance(raw_versions, list):
-        raise ValueError(f"{where}: versions must be a list, got {type(raw_versions).__name__}")
-    try:
-        qps, sizes = [], []
-        for pos, v in enumerate(raw_versions, start=1):
-            check_keys(v, ("index", "qp", "segment_sizes"), f"versions[{pos - 1}]")
-            index = v["index"]
-            # the index exists only in the file: it must be the position
-            if type(index) is not int or index != pos:
-                raise ValueError(
-                    f"versions must be sorted with contiguous indices 1..V; "
-                    f"position {pos} has index {index!r}"
-                )
-            qps.append(v["qp"])
-            sizes.append(v["segment_sizes"])
-        manifest = VideoManifest(data["title"], data["segment_duration_s"], qps, sizes)
-        if unit == "bytes":
-            # only after validation, so that a JSON true never becomes 8
-            bits = [[s * 8 for s in row] for row in manifest.segment_sizes]
-            manifest = replace(manifest, segment_sizes=bits)
-        return manifest
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"versions must be a list, got {type(raw_versions).__name__}")
+    qps, sizes = [], []
+    for pos, v in enumerate(raw_versions, start=1):
+        check_keys(v, ("index", "qp", "segment_sizes"), f"versions[{pos - 1}]: ")
+        index = v["index"]
+        # the index exists only in the file: it must be the position
+        if type(index) is not int or index != pos:
+            raise ValueError(
+                f"versions must be sorted with contiguous indices 1..V; "
+                f"position {pos} has index {index!r}"
+            )
+        qps.append(v["qp"])
+        sizes.append(v["segment_sizes"])
+    manifest = VideoManifest(data["title"], data["segment_duration_s"], qps, sizes)
+    if unit == "bytes":
+        # only after validation, so that a JSON true never becomes 8
+        bits = [[s * 8 for s in row] for row in manifest.segment_sizes]
+        manifest = replace(manifest, segment_sizes=bits)
+    return manifest
 
 
 def load_manifest(path) -> VideoManifest:
-    path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return manifest_from_dict(data, where=str(path))
+            raise ValueError(f"not valid JSON ({exc})") from exc
+    return manifest_from_dict(data)
 
 
 def save_manifest(manifest: VideoManifest, path) -> None:
@@ -342,32 +338,29 @@ def save_manifest(manifest: VideoManifest, path) -> None:
 
 
 def load_trace(path) -> BandwidthTrace:
-    path = Path(path)
     breakpoints = []
     with open(path, "rb") as fh:
         reader = csv.reader(map(bytes.decode, fh))
         try:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["time_s", "bandwidth_kbps"]:
-                raise ValueError(f"{path}: expected header 'time_s,bandwidth_kbps', got {header}")
+                raise ValueError(f"expected header 'time_s,bandwidth_kbps', got {header}")
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                    raise ValueError(f"line {lineno}: expected 2 columns, got {len(row)}")
                 try:
                     t, kbps = float(row[0]), float(row[1])
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                    raise ValueError(f"line {lineno}: {exc}") from exc
                 breakpoints.append((t, kbps * 1000.0))
         except UnicodeDecodeError as exc:  # the reader has not counted the line
-            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
+            raise ValueError(f"line {reader.line_num + 1}: {exc}") from exc
         except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-    try:
-        return BandwidthTrace(tuple(breakpoints))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            # the hint that csv puts after " - " is about opening a file in Python
+            raise ValueError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from exc
+    return BandwidthTrace(tuple(breakpoints))
 
 
 def save_trace(trace: BandwidthTrace, path) -> None:

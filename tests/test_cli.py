@@ -1042,7 +1042,7 @@ _SIZE_RULE = "size must be a finite number > 0 whose bitrate over 2.0 s is finit
             "line 3: field larger than field limit (131072)", id="oversized-trace-field",
         ),
         pytest.param("trace", lambda lines: _NOT_UTF8, _LINE_1, id="non-utf8-trace"),
-        # a lone CR does not end a line; the hint after this prefix differs by Python version
+        # a lone CR does not end a line, so line 1 runs on into the rows
         pytest.param(
             "trace", lambda lines: "\r".join(lines).encode(),
             "line 1: new-line character seen in unquoted field", id="lone-cr-trace",
@@ -1311,6 +1311,35 @@ def test_run_refuses_a_download_requested_past_the_float_range(inputs, tmp_path)
         "requested at request_time_s 1e+308 has throughput 0.0, not a finite number > 0, "
         "over inf s\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(
+            ["run", "--manifest", "./bad.json", "--bandwidth", "./rect.csv"], "./bad.json",
+            id="manifest",
+        ),
+        pytest.param(
+            ["run", "--manifest", "./sony.json", "--bandwidth", "./bad.csv"], "./bad.csv",
+            id="trace",
+        ),
+        pytest.param(
+            ["run", "--manifest", "./sony.json", "--bandwidth", "./rect.csv", "--rtt", "1e308"],
+            "./sony.json, ./rect.csv", id="session",
+        ),
+        pytest.param(["stats", "--log", "./empty.jsonl"], "./empty.jsonl", id="log"),
+    ],
+)
+def test_a_refusal_names_each_file_as_the_command_line_gives_it(
+    inputs, tmp_path, monkeypatch, argv, named
+):
+    # the loaders name only the place in a file, and the CLI the file, as typed
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text("{")
+    Path("bad.csv").write_text("t,bw\n")
+    Path("empty.jsonl").write_text("")
+    assert _refused([*argv, "--out", "./out"]).startswith(f"error: {named}: ")
 
 
 def test_run_rejects_an_average_bitrate_past_the_float_range(inputs, tmp_path):

@@ -747,5 +747,5 @@ class TestLogSerialization:
     def test_empty_log_file_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty log file$"):
+        with pytest.raises(ValueError, match="^empty log file$"):
             load_log_jsonl(path)

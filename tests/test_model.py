@@ -292,6 +292,50 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="line 2: could not convert string to float: 'abc'"):
             load_trace(path)
 
+    def test_trace_lone_cr_refused_without_the_csv_hint(self, tmp_path):
+        # csv's hint after its message is about opening a file in Python,
+        # which the user of a trace file cannot act on
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"time_s,bandwidth_kbps\r0,2500\r120,500\r")
+        with pytest.raises(ValueError, match="^line 1: new-line character seen") as refusal:
+            load_trace(path)
+        assert "open the file" not in str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "load, text, place",
+    [
+        pytest.param(load_manifest, "{", "not valid JSON (", id="manifest-json"),
+        pytest.param(load_manifest, "{}", "missing field 'title'", id="manifest-key"),
+        pytest.param(
+            load_manifest,
+            '{"title": "b", "segment_duration_s": 2, "size_unit": "bits", "versions": [1]}',
+            "versions[0]: expected a JSON object, got int", id="manifest-version",
+        ),
+        pytest.param(load_trace, "t,bw\n", "expected header", id="trace-header"),
+        pytest.param(
+            load_trace, "time_s,bandwidth_kbps\n0,x\n", "line 2: could not convert",
+            id="trace-line",
+        ),
+        pytest.param(
+            load_trace, "time_s,bandwidth_kbps\n5,2500\n", "breakpoint 0: time must be 0",
+            id="trace-breakpoint",
+        ),
+        pytest.param(load_log_jsonl, "", "empty log file", id="log-empty"),
+        pytest.param(
+            load_log_jsonl, "[]\n", "header: expected a JSON object, got list", id="log-header"
+        ),
+        pytest.param(load_log_jsonl, "{\n", "line 1: malformed log (", id="log-line"),
+    ],
+)
+def test_a_loader_names_the_place_in_the_file_not_the_file(tmp_path, load, text, place):
+    # the CLI adds the file's name, as the command line gives it
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refusal:
+        load(path)
+    assert str(refusal.value).startswith(place)
+
 
 def _json_dump_manifest(manifest: VideoManifest, path) -> None:
     # the stdlib reference that save_manifest's bytes must equal

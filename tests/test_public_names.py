@@ -1,8 +1,9 @@
 """Every public top-level function, class and constant in vbrsim has a reader outside the tests,
 every top-level import in vbrsim and in the tests is read by its module, no
 vbrsim module reads a private attribute of anything but ``self``, the policies
-and estimators raise nothing, only ``model.check`` renders a rule's wording, and
-the CLI tests start a process only in the two entry-point tests."""
+and estimators raise nothing, only ``model.check`` renders a rule's wording, the
+CLI tests start a process only in the two entry-point tests, and the file
+loaders read their path only to open it."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,26 @@ def test_only_check_renders_a_rules_wording():
         if isinstance(sub, ast.Subscript) and ast.unparse(sub) == "rule[2]"
     ]
     assert readers == ["model.check"], readers
+
+
+def test_the_loaders_read_their_path_only_to_open_it():
+    # the CLI names a refused input's file, as the command line gives it, so a
+    # loader's message names only the place in the file
+    loaders = [("model", "load_manifest"), ("model", "load_trace"), ("engine", "load_log_jsonl")]
+    reads = []
+    for module, name in loaders:
+        (loader,) = [
+            node for node in TREES[module].body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        opened = [
+            call.args[0]
+            for call in ast.walk(loader)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "open" and call.args
+        ]
+        reads += [
+            f"{module}.{name}:{sub.lineno}"
+            for sub in ast.walk(loader)
+            if isinstance(sub, ast.Name) and sub.id == "path" and sub not in opened
+        ]
+    assert not reads, f"path read other than as open()'s argument: {reads}"
