@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from math import inf
 from operator import gt, itemgetter
 from typing import NamedTuple
@@ -52,11 +52,12 @@ class SessionLog:
 
     records: tuple
     config: ClientConfig
-    manifest_title: str
-    trace_label: str
-    segment_duration_s: float
-    num_versions: int
-    playback_start_s: float
+    manifest_title: str = field(metadata={"rule": STRING})
+    trace_label: str = field(metadata={"rule": STRING})
+    segment_duration_s: float = field(metadata={"rule": POSITIVE})
+    # a manifest's QPs are distinct, so it has at most one version per QP
+    num_versions: int = field(metadata={"rule": int_range(1, QP_MAX - QP_MIN + 1)})
+    playback_start_s: float = field(metadata={"rule": POSITIVE})
 
 
 def download_time(trace: BandwidthTrace, start: float, size: float, rtt: float) -> float:
@@ -223,15 +224,8 @@ _case_label = itemgetter(LOG_COLUMNS.index("case"))
 _BLOCK = 64
 
 
-# (header key and SessionLog field, rule); the header also holds "config". A
-# manifest's QPs are distinct, so it has at most one version per QP
-_HEADER_FIELDS = (
-    ("manifest_title", STRING),
-    ("trace_label", STRING),
-    ("segment_duration_s", POSITIVE),
-    ("num_versions", int_range(1, QP_MAX - QP_MIN + 1)),
-    ("playback_start_s", POSITIVE),
-)
+# (header key and SessionLog field, rule); the header also holds "config"
+_HEADER_FIELDS = tuple((f.name, f.metadata["rule"]) for f in fields(SessionLog) if f.metadata)
 _HEADER_KEYS = tuple(key for key, _ in _HEADER_FIELDS) + ("config",)
 _CONFIG_KEYS = tuple(f.name for f in fields(ClientConfig))
 

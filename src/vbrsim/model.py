@@ -194,15 +194,6 @@ class BandwidthTrace:
         object.__setattr__(self, "breakpoints", tuple(zip(starts, map(float, bandwidths))))
 
 
-# The rule each ClientConfig field must meet; the estimator's deque window
-# takes at most sys.maxsize items
-_CONFIG_RULES = {
-    "beta_min": POSITIVE, "beta_max": POSITIVE, "window_n": int_range(1, sys.maxsize),
-    "delta": POSITIVE, "theta": POSITIVE, "rtt": NONNEGATIVE, "start_version": COUNT,
-    "policy": one_of(("avg", "itb")), "uptrend_gate": one_of(("prose", "pseudocode")),
-}
-
-
 @dataclass(frozen=True)
 class ClientConfig:
     """Client-side adaptation parameters.
@@ -216,19 +207,20 @@ class ClientConfig:
     checks the current one.
     """
 
-    beta_min: float = 10.0
-    beta_max: float = 50.0
-    window_n: int = 30
-    delta: float = 0.1
-    theta: float = 1.05
-    rtt: float = 0.040
-    start_version: int = 1
-    policy: str = "avg"
-    uptrend_gate: str = "prose"
+    beta_min: float = field(default=10.0, metadata={"rule": POSITIVE})
+    beta_max: float = field(default=50.0, metadata={"rule": POSITIVE})
+    # the estimator's deque window takes at most sys.maxsize items
+    window_n: int = field(default=30, metadata={"rule": int_range(1, sys.maxsize)})
+    delta: float = field(default=0.1, metadata={"rule": POSITIVE})
+    theta: float = field(default=1.05, metadata={"rule": POSITIVE})
+    rtt: float = field(default=0.040, metadata={"rule": NONNEGATIVE})
+    start_version: int = field(default=1, metadata={"rule": COUNT})
+    policy: str = field(default="avg", metadata={"rule": one_of(("avg", "itb"))})
+    uptrend_gate: str = field(default="prose", metadata={"rule": one_of(("prose", "pseudocode"))})
 
     def __post_init__(self):
         for f in fields(self):
-            check(getattr(self, f.name), _CONFIG_RULES[f.name], f.name)
+            check(getattr(self, f.name), f.metadata["rule"], f.name)
         if not self.beta_min < self.beta_max:
             raise ValueError(f"beta_min must be < beta_max {self.beta_max}, got {self.beta_min}")
         if self.delta > 1:

@@ -64,10 +64,6 @@ class LadderSpec:
         if not valid((self.burstiness * self.burstiness,), NUMBER):
             raise ValueError(f"burstiness must have a finite square, got {self.burstiness}")
 
-    @property
-    def num_versions(self) -> int:
-        return len(self.qps)
-
 
 # Version ladders of the two test videos this project mirrors: six versions,
 # QP 48 down to 22, with measured average bitrates in bits/s.
@@ -165,7 +161,7 @@ def gen_vbr_ladder(spec: LadderSpec, title: str = "synthetic") -> VideoManifest:
     drawn, so at most one version's floats are held beside the shared shape.
     """
     n = spec.segment_count
-    top = spec.num_versions - 1
+    top = len(spec.qps) - 1
     duration = spec.segment_duration
     try:
         if spec.burstiness == 0:

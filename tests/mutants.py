@@ -41,6 +41,8 @@ JOBS = 2
 FUNCTIONS = (
     ("engine", "download_time"),
     ("engine", "run_session"),
+    ("engine", "_block_values"),
+    ("engine", "load_log_jsonl"),
     ("policies", "flexible_threshold"),
     ("policies", "select_panic_version"),
     ("policies", "avg_decide"),
@@ -53,6 +55,17 @@ FUNCTIONS = (
     ("metrics", "_pstdev"),
     ("metrics", "buffer_cdf"),
     ("metrics", "warmup_segments"),
+    ("model", "valid"),
+    ("model", "int_range"),
+    ("model", "segment_size"),
+    ("model", "check_qps"),
+    ("model", "VideoManifest.__post_init__"),
+    ("model", "BandwidthTrace.__post_init__"),
+    ("model", "ClientConfig.__post_init__"),
+    ("model", "manifest_from_dict"),
+    ("model", "load_trace"),
+    ("cli", "_warmup"),
+    ("cli", "_policy_configs"),
 )
 
 SWAPS = {
@@ -110,8 +123,19 @@ def _functions(tree, names):
 
 def _operators(function):
     """(left operand, operator text) of each swappable operator in ``function``;
-    the operator is the first token after the left operand ends."""
+    the operator is the first token after the left operand ends.
+
+    An operator inside an f-string is skipped: before Python 3.12 the whole
+    f-string is one token, so the first token after its operand lies beyond it.
+    """
+    in_fstrings = {
+        id(sub)
+        for node in ast.walk(function) if isinstance(node, ast.JoinedStr)
+        for sub in ast.walk(node)
+    }
     for node in ast.walk(function):
+        if id(node) in in_fstrings:
+            continue
         if isinstance(node, ast.BinOp):
             pairs = [(node.left, SYMBOLS.get(type(node.op)))]
         elif isinstance(node, ast.AugAssign):

@@ -2,15 +2,19 @@
 every top-level import in vbrsim and in the tests is read by its module, no
 vbrsim module reads a private attribute of anything but ``self``, the policies
 and estimators raise nothing, only ``model.check`` renders a rule's wording, the
-CLI tests start a process only in the two entry-point tests, and the file
-loaders read their path only to open it."""
+CLI tests start a process only in the two entry-point tests, the file
+loaders read their path only to open it, and each log header field declares
+its rule, with no table that spells its name again."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 from tests_support import load_tracer
 
 import vbrsim
+from vbrsim.engine import SessionLog
+from vbrsim.model import ClientConfig
 
 SOURCES = sorted(Path(vbrsim.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -159,3 +163,23 @@ def test_the_loaders_read_their_path_only_to_open_it():
             if isinstance(sub, ast.Name) and sub.id == "path" and sub not in opened
         ]
     assert not reads, f"path read other than as open()'s argument: {reads}"
+
+
+def test_each_header_field_declares_its_rule_and_no_table_repeats_its_name():
+    # a log header value's name and rule live in its ClientConfig or SessionLog
+    # field, so no module-level table spells the name a second time
+    session_fields = [f.name for f in fields(SessionLog)]
+    header = session_fields[session_fields.index("config") + 1 :]
+    names = set(header) | {f.name for f in fields(ClientConfig)}
+    spelled = [
+        f"{module}:{sub.lineno}: {sub.value!r}"
+        for module in ("model", "engine")
+        for node in TREES[module].body
+        if not isinstance(node, ast.FunctionDef)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and sub.value in names
+    ]
+    assert not spelled, f"header field names spelled outside their field: {spelled}"
+    assert [f.name for f in fields(SessionLog) if "rule" in f.metadata] == header
+    unruled = [f.name for f in fields(ClientConfig) if "rule" not in f.metadata]
+    assert not unruled, f"ClientConfig fields without a rule: {unruled}"
