@@ -21,7 +21,7 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from math import inf
-from operator import gt, itemgetter
+from operator import eq, gt, itemgetter
 from typing import NamedTuple
 
 from . import policies
@@ -208,7 +208,8 @@ def run_session(
 # tuple in column order, which both writers and load_log_jsonl rely on
 LOG_COLUMNS = SegmentRecord._fields[:-1] + ("stall_s",)
 _COLUMN_SET = frozenset(LOG_COLUMNS)
-_column_values = itemgetter(*LOG_COLUMNS)
+# each takes one column's value from a parsed line
+_COLUMN_GETTERS = tuple(map(itemgetter, LOG_COLUMNS))
 # One JSONL record line, filled with value text. json.dumps writes an int or a
 # finite float as its repr, and a policy's case label in plain quotes, so the
 # line has the same bytes as json.dumps(dict(zip(LOG_COLUMNS, record))) for a
@@ -342,7 +343,8 @@ def _block_values(block) -> list:
 
 
 def load_log_jsonl(path) -> SessionLog:
-    records = []
+    """Read a JSONL log into columns, check each one, then build the records once."""
+    columns = tuple([] for _ in LOG_COLUMNS)
     with open(path, "rb") as fh:
         # the header is line 1 and record i is line i + 2
         lines = enumerate(fh, 1)
@@ -363,24 +365,21 @@ def load_log_jsonl(path) -> SessionLog:
             for (lineno, _), row in zip(block, rows):
                 if not (isinstance(row, dict) and row.keys() == _COLUMN_SET):
                     check_keys(row, LOG_COLUMNS, f"line {lineno}: ")
-            # each record is built as the plain tuple it is, as in run_session
-            records.extend(
-                map(tuple.__new__, itertools.repeat(SegmentRecord), map(_column_values, rows))
-            )
-    if not records:  # run never writes one: the file was cut short
+            for column, get in zip(columns, _COLUMN_GETTERS):
+                column.extend(map(get, rows))
+    index, _, _, request, completion, *_, cases, _ = columns
+    if not index:  # run never writes one: the file was cut short
         raise ValueError("log has no records")
     # one rule per column, in LOG_COLUMNS order, each tested on a whole column
+    labels = policies.CASES[config.policy]
     rules = (
         INTEGER, int_range(1, header["num_versions"]), segment_size(header["segment_duration_s"]),
-        NONNEGATIVE, NUMBER, POSITIVE, NONNEGATIVE, NONNEGATIVE,
-        one_of(policies.CASES[config.policy]), NONNEGATIVE,
+        NONNEGATIVE, NUMBER, POSITIVE, NONNEGATIVE, NONNEGATIVE, one_of(labels), NONNEGATIVE,
     )
-    columns = tuple(zip(*records))
     for name, rule, column in zip(LOG_COLUMNS, rules, columns):
         check_each(column, rule, lambda i: f"line {i + 2}: field {name!r}")
     # the checks that read more than one value
-    index, _, _, request, completion = columns[:5]
-    if index != tuple(range(len(index))):
+    if not all(map(eq, index, itertools.count())):
         i = next(i for i, value in enumerate(index) if value != i)
         raise _value_error(i + 2, "index", index[i], "the record's position")
     if not all(map(gt, completion, request)):
@@ -389,8 +388,11 @@ def load_log_jsonl(path) -> SessionLog:
     if header["playback_start_s"] != completion[0]:
         wording = f"line 2's completion_time_s {completion[0]!r}"
         raise _value_error(1, "playback_start_s", header["playback_start_s"], wording)
+    # the policy's own label objects, in place of one string per line
+    cases[:] = map(dict(zip(labels, labels)).__getitem__, cases)
     return SessionLog(
-        records=tuple(records),
+        # each record is built as the plain tuple it is, as in run_session
+        records=tuple(map(tuple.__new__, itertools.repeat(SegmentRecord), zip(*columns))),
         config=config,
         **{key: header[key] for key, _ in _HEADER_FIELDS},
     )

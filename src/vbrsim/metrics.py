@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import islice, repeat
-from operator import itemgetter, mul, sub, truediv
+from operator import itemgetter, sub, truediv
 from typing import NamedTuple
 
 from .engine import LOG_COLUMNS, SessionLog
@@ -51,16 +51,19 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
         raise ValueError(
             f"warmup_exclude {warmup_exclude} >= record count {len(log.records)}"
         )
-    records = log.records[warmup_exclude:]
-    n = len(records)
-    versions = list(map(_VERSION, records))
-    buffers = list(map(_BUFFER_AFTER, records))
-    degrees = list(map(abs, map(sub, islice(versions, 1, None), versions)))
-    bitrates = map(truediv, map(_SIZE, records), repeat(log.segment_duration_s))
+    n = len(log.records) - warmup_exclude
+    bitrates = map(truediv, _column(log, _SIZE, warmup_exclude), repeat(log.segment_duration_s))
     try:
         average_bitrate = math.fsum(bitrates) / n
     except OverflowError:  # fsum's exact sum of finite bitrates passed the float range
         average_bitrate = math.inf
+    total_stall = sum(_column(log, _STALL, warmup_exclude))
+    # one column list at a time: the buffer levels, then the versions and their steps
+    buffers = list(_column(log, _BUFFER_AFTER, warmup_exclude))
+    min_buffer, std_buffer = min(buffers), _pstdev(buffers)
+    del buffers
+    versions = list(_column(log, _VERSION, warmup_exclude))
+    degrees = list(map(abs, map(sub, islice(versions, 1, None), versions)))
     # the other statistics are versions (ints no larger than the QP count),
     # their steps and buffer levels, or their spread, all finite
     return SessionStats(
@@ -71,10 +74,16 @@ def compute_stats(log: SessionLog, warmup_exclude: int = 0) -> SessionStats:
         num_switches=len(degrees) - degrees.count(0),
         max_switch_degree=max(degrees, default=0),
         std_switch_degrees=_pstdev(degrees) if degrees else 0.0,
-        min_buffer=min(buffers),
-        std_buffer=_pstdev(buffers),
-        total_stall=_finite(sum(map(_STALL, records)), "total_stall", "stall_s"),
+        min_buffer=min_buffer,
+        std_buffer=std_buffer,
+        total_stall=_finite(total_stall, "total_stall", "stall_s"),
     )
+
+
+def _column(log: SessionLog, get, start: int):
+    """The values that ``get`` takes from the records from ``start`` on, read
+    without a copy of the records."""
+    return map(get, islice(log.records, start, None))
 
 
 def _pstdev(values: list) -> float:
@@ -86,9 +95,13 @@ def _pstdev(values: list) -> float:
     """
     n = len(values)
     scaled, scale = _exact_ints(values)
+    # one pass sums the scaled ints and their squares, so none is held
+    total = squares = 0
+    for x in scaled:
+        total += x
+        squares += x * x
     # variance = (n * sum(x*x) - sum(x)**2) / (n * scale)**2, exactly
-    total = sum(scaled)
-    num = n * sum(map(mul, scaled, scaled)) - total * total
+    num = n * squares - total * total
     den = (n * scale) ** 2
     # a root of at least 55 bits, 2 beyond a double's 53, rounded to odd; then
     # its one rounding to a float is correct
@@ -103,7 +116,8 @@ def _pstdev(values: list) -> float:
 
 
 def _exact_ints(values: list) -> tuple:
-    """Ints ``scaled`` and a power of two ``scale`` with each value == scaled[i] / scale."""
+    """An iterable of ints ``scaled`` and a power of two ``scale`` with each
+    value == its scaled int / scale, in order."""
     if all(map(isinstance, values, repeat(int))):  # such as version steps
         return values, 1
     biggest = max(map(abs, values))
@@ -112,10 +126,10 @@ def _exact_ints(values: list) -> tuple:
         # the ulp of the smallest nonzero magnitude divides every value
         shift = max(math.frexp(smallest)[1] - 53, -1074)
         if math.frexp(biggest)[1] - shift <= 1024:  # and scaling overflows none
-            return list(map(int, map(math.ldexp, values, repeat(-shift)))), 1 << -shift
+            return map(int, map(math.ldexp, values, repeat(-shift))), 1 << -shift
     ratios = [value.as_integer_ratio() for value in values]
     scale = max(den for _, den in ratios)
-    return [num * (scale // den) for num, den in ratios], scale
+    return (num * (scale // den) for num, den in ratios), scale
 
 
 def _finite(value: float, name: str, column: str) -> float:

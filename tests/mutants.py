@@ -53,6 +53,7 @@ FUNCTIONS = (
     ("estimators", "EstimatorState.ingest_segment"),
     ("metrics", "compute_stats"),
     ("metrics", "_pstdev"),
+    ("metrics", "_exact_ints"),
     ("metrics", "buffer_cdf"),
     ("metrics", "warmup_segments"),
     ("model", "valid"),
@@ -92,6 +93,13 @@ EQUIVALENT = {
     ("_pstdev", "if q > 0:"): "at q == 0 both branches shift by 0",
     ("_pstdev", "return (root << q) / 1 if q > 0 else root / (1 << -q)"): (
         "at q == 0 both branches divide root by 1"
+    ),
+    ("_pstdev", "total -= x"): "the sum enters only as total * total, the same for -total",
+    ("_exact_ints", "if biggest <= 2**53:  # so every int among the values is also a float"): (
+        "an int of magnitude 2**53 is a float too, so the ldexp path is exact there as well"
+    ),
+    ("_exact_ints", "if math.frexp(biggest)[1] - shift < 1024:  # and scaling overflows none"): (
+        "at 1024 the ldexp path does not overflow, and either path gives the exact values"
     ),
 }
 

@@ -748,6 +748,13 @@ def _huge_index(header, records):
             "line 102: field 'version' must be an int in 1..6, got 7",
             id="version-above-count",
         ),
+        # the columns are checked in LOG_COLUMNS order, so an earlier column's
+        # bad value is named before an earlier line's bad value in a later column
+        pytest.param(
+            lambda h, r: [r[3].update(stall_s=-0.5), r[298].update(version=0)],
+            "line 300: field 'version' must be an int in 1..6, got 0",
+            id="earlier-column-wins",
+        ),
         pytest.param(
             lambda h, r: [h.update(num_versions=10**400), *(x.update(version=10**400) for x in r)],
             "line 1: field 'num_versions' must be an int in 1..64, got 1000",

@@ -122,6 +122,15 @@ class TestStdExactness:
         assert len(grid) >= 1000
         assert not mismatches, mismatches[:3]
 
+    @pytest.mark.parametrize(
+        "values", [[5e-324, 60.0], [60.0, 5e-324, 30.5], [2.0**-1000, 1.0]]
+    )
+    def test_std_buffer_is_exact_where_one_scale_would_pass_the_float_range(self, values):
+        # every value is below 2**53, but at the smallest one's ulp the largest
+        # would scale past the float range, so the exact ratios are summed instead
+        log = make_log([1] * len(values), buffers=values)
+        assert compute_stats(log).std_buffer == pstdev(values)
+
     def test_std_switch_degrees_equals_statistics_pstdev(self):
         rng = random.Random(2027)
         mismatches = []

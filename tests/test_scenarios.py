@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 
 from vbrsim import scenarios
-from vbrsim.engine import download_time
-from vbrsim.model import VideoManifest, save_manifest
+from vbrsim.engine import download_time, load_log_jsonl, run_session, save_log_jsonl
+from vbrsim.metrics import compute_stats
+from vbrsim.model import ClientConfig, VideoManifest, save_manifest
 from vbrsim.scenarios import (
     BURST_PERIOD,
     LADDER_PRESETS,
@@ -241,6 +242,43 @@ def test_save_manifest_peak_memory_is_below_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+@pytest.fixture(scope="module")
+def long_log_path(tmp_path_factory):
+    """A 20 000-segment sony-like AVG-30 log on a 1200/600 s rectangular trace."""
+    manifest = gen_vbr_ladder(ladder_preset("sony-like", segment_count=20_000))
+    trace = gen_rect_bandwidth(2500e3, 500e3, 1200.0, 600.0, 42_000.0)
+    path = tmp_path_factory.mktemp("long") / "avg-30.jsonl"
+    save_log_jsonl(run_session(manifest, trace, ClientConfig(window_n=30)), path)
+    return path
+
+
+def test_load_log_jsonl_peaks_less_than_2_mib_above_the_log(long_log_path):
+    # the records are built once from the checked columns, so only the ten
+    # column lists, about 1.6 MiB here, are held beside the log
+    tracemalloc.start()
+    try:
+        log = load_log_jsonl(long_log_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.records) == 20_000
+    assert peak - held < 2 * 2**20, (peak, held)
+
+
+def test_compute_stats_peaks_less_than_0_6_mib_above_its_input(long_log_path):
+    # the records are read in place, one column list at a time, and the
+    # scaled ints of a standard deviation are summed as they are made
+    log = load_log_jsonl(long_log_path)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        compute_stats(log, warmup_exclude=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 0.6 * 2**20, (peak, start)
 
 
 def test_gen_vbr_ladder_holds_one_version_of_floats_at_a_time():
